@@ -12,7 +12,7 @@ from .codes import (PRM, RM, CodeParams, CodeSpec, NotInCodeError,
                     replicate_scaled, rm_dimension, rm_weight)
 from .decoders import (AffineDecoders, DecodeResult, EnumerationBoundError,
                        check_error_pattern, decode_exhaustive, decode_prm,
-                       decode_prm_robust, decode_prs, decode_rs_affine,
+                       decode_prm_robust, decode_rs_affine,
                        exhaustive_decoders, weight)
 from .geometry import (affine_array, affine_points, normalize_projective,
                        num_projective_points, point_index, projective_array,
@@ -44,7 +44,6 @@ __all__ = [
     "decode_exhaustive",
     "decode_prm",
     "decode_prm_robust",
-    "decode_prs",
     "decode_rs_affine",
     "dehomogenize",
     "embed_poly",

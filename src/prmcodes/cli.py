@@ -9,7 +9,8 @@ Subcommands:
   ratio-table  per-degree capability table T0/T as CSV
   demo         step-by-step decoding walkthroughs with golden checks
 
-Exit codes: 0 success, 1 golden mismatch, 2 decode failure, 64 usage error.
+Exit codes: 0 success, 1 golden mismatch, 2 decode failure (including a
+code too large for the exhaustive affine engine), 64 usage error.
 """
 
 import argparse
@@ -21,8 +22,8 @@ import numpy as np
 
 from .codes import (PRM, RM, CodeSpec, NotInCodeError, code_params, encode,
                     replicate_scaled)
-from .decoders import (decode_prm, decode_prm_robust, exhaustive_decoders,
-                       weight)
+from .decoders import (EnumerationBoundError, decode_prm, decode_prm_robust,
+                       exhaustive_decoders, weight)
 from .gf import GF
 from .poly import eval_affine, eval_projective, lift_to_degree, parse_poly
 
@@ -380,6 +381,9 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except EnumerationBoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DECODE_FAIL
     except (ValueError, NotInCodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,12 +9,10 @@ Two families over GF(q):
 
 Parameters come from exact integer formulas and are cross-checked against an
 independent monomial count; eta is the projective decoder's guaranteed
-decoding diameter, computed by two routes and asserted equal.  All thresholds
-that enter strict half-distance comparisons are exact Fractions.
+decoding diameter, computed by two routes and asserted equal.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -173,10 +171,6 @@ class CodeParams:
     eta: int | None
     T: int
     T0: int | None
-    t: Fraction
-    t0: Fraction | None
-    t1: Fraction | None
-    t2: Fraction | None
 
 
 @lru_cache(maxsize=None)
@@ -189,8 +183,7 @@ def code_params(spec):
             raise AssertionError(f"dimension mismatch for {spec}")
         nu, mu = divmod(d, q - 1)
         return CodeParams(n=q ** m, k=k, wt=wt, nu=nu, mu=mu, eta=None,
-                          T=(wt - 1) // 2, T0=None, t=Fraction(wt, 2),
-                          t0=None, t1=None, t2=None)
+                          T=(wt - 1) // 2, T0=None)
     wt = prm_weight(q, m, d)
     k = prm_dimension(q, m, d)
     if k != _prm_monomial_count(q, m, d):
@@ -199,11 +192,7 @@ def code_params(spec):
     et = eta(q, m, d)
     return CodeParams(
         n=num_projective_points(q, m), k=k, wt=wt, nu=nu, mu=mu, eta=et,
-        T=(wt - 1) // 2, T0=(et - 1) // 2,
-        t=Fraction(wt, 2),
-        t0=Fraction(et, 2),
-        t1=Fraction(rm_weight(q, m, d), 2),
-        t2=Fraction(eta(q, m - 1, d), 2))
+        T=(wt - 1) // 2, T0=(et - 1) // 2)
 
 
 # --- generator matrices, encoding, interpolation ---
@@ -214,16 +203,25 @@ def basis_monomials(spec):
     return affine_basis(spec.gf, spec.m, spec.d)
 
 
+# the evaluated basis, read by generator_matrix and _solver; keyed without a
+# CodeSpec because the recursive decoder also interpolates where d exceeds
+# m(q-1) and the code fills the whole space, which CodeSpec rejects
+
 @lru_cache(maxsize=None)
+def _eval_matrix(gf, family, m, d):
+    basis, ev = ((projective_basis, eval_projective) if family == PRM
+                 else (affine_basis, eval_affine))
+    mons = basis(gf, m, d)
+    g = np.array([ev(Poly.monomial(gf, exps), m) for exps in mons])
+    g.setflags(write=False)
+    return mons, g
+
+
 def generator_matrix(spec):
     """k x n matrix whose rows evaluate the canonical basis monomials."""
-    gf, m = spec.gf, spec.m
-    ev = eval_projective if spec.family == PRM else eval_affine
-    rows = [ev(Poly.monomial(gf, exps), m) for exps in basis_monomials(spec)]
-    g = np.array(rows)
+    g = _eval_matrix(spec.gf, spec.family, spec.m, spec.d)[1]
     if g.shape != (code_params(spec).k, spec.n):
         raise AssertionError(f"generator shape mismatch for {spec}")
-    g.setflags(write=False)
     return g
 
 
@@ -238,19 +236,9 @@ def encode(spec, message):
     return cw, f
 
 
-# low-level interpolation entry points: the recursive decoder needs these for
-# (m, d) combinations where d exceeds m(q-1) and the code fills the whole
-# space, which CodeSpec deliberately rejects
-
 @lru_cache(maxsize=None)
 def _solver(gf, family, m, d):
-    if family == PRM:
-        mons = projective_basis(gf, m, d)
-        ev = eval_projective
-    else:
-        mons = affine_basis(gf, m, d)
-        ev = eval_affine
-    g = np.array([ev(Poly.monomial(gf, exps), m) for exps in mons])
+    mons, g = _eval_matrix(gf, family, m, d)
     _, pivots = linalg.row_reduce(gf, g)
     if len(pivots) != len(mons):
         raise AssertionError(f"monomial basis is dependent: {family} m={m} d={d}")
@@ -258,7 +246,6 @@ def _solver(gf, family, m, d):
     aug, piv2 = linalg.row_reduce(gf, np.hstack([block, np.eye(len(mons), dtype=g.dtype)]))
     assert piv2 == list(range(len(mons)))
     inv = aug[:, len(mons):]
-    g.setflags(write=False)
     return mons, g, tuple(pivots), inv
 
 

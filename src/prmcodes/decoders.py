@@ -9,6 +9,9 @@ the bounded-distance contract can be registered per (m, d):
     wt(e) <= floor((wt-1)/2), Success(c, f), eval_affine(f, m) = c, f reduced
     of degree <= d.  Codes with wt 1 accept exactly the codewords.
 
+The projective line, the [q+1, d+1, q-d+1] code, is level m = 1 of the same
+recursion.
+
 `decode_prm` propagates an unsolvable base-case interpolation as a hard
 Inconsistent failure; `decode_prm_robust` converts every such condition into
 an ordinary branch failure and keeps going, which pays off on error patterns
@@ -83,40 +86,39 @@ def _enum_bound():
     return int(os.environ.get("PRM_ENUM_BOUND", DEFAULT_ENUM_BOUND))
 
 
+def _span(gf, rows):
+    # every combination of `rows` by q-fold expansion; the last row varies slowest
+    words = gf.zeros((1, rows.shape[1]))
+    for row in rows:
+        words = np.concatenate([gf.add(words, gf.mul(v, row)) for v in range(gf.q)])
+    return words
+
+
 @lru_cache(maxsize=8)
 def _codebook(spec):
-    gf = spec.gf
-    g = generator_matrix(spec)
-    cb = gf.zeros((1, g.shape[1]))
-    for i in range(g.shape[0]):
-        cb = np.concatenate([gf.add(cb, gf.mul(v, g[i])) for v in range(gf.q)])
-    cb.setflags(write=False)
-    return cb
+    """(offsets, block): spans of the leading and of the last generator rows.
+
+    The block takes as many last rows as fit in 2^16 words; every codeword
+    is one offset plus one block word.
+    """
+    gf, g = spec.gf, generator_matrix(spec)
+    lo = 0
+    while gf.q ** (len(g) - lo) > 2 ** 16:
+        lo += 1
+    books = _span(gf, g[:lo]), _span(gf, g[lo:])
+    for book in books:
+        book.setflags(write=False)
+    return books
 
 
 def _scan_codewords(spec, r, cap_t):
     gf = spec.gf
-    g = generator_matrix(spec)
-    k, n = g.shape
-    q = gf.q
-    if q ** k <= 2 ** 16:
-        cb = _codebook(spec)
-        dist = np.count_nonzero(cb != r[None, :], axis=1)
+    offsets, block = _codebook(spec)
+    for offset in offsets:
+        dist = np.count_nonzero(block != gf.sub(r, offset)[None, :], axis=1)
         j = int(np.argmin(dist))
         if dist[j] <= cap_t:
-            return cb[j].copy()
-        return None
-    powers = q ** np.arange(k, dtype=np.int64)
-    for start in range(0, q ** k, 4096):
-        idx = np.arange(start, min(start + 4096, q ** k), dtype=np.int64)
-        msgs = ((idx[:, None] // powers) % q).astype(g.dtype)
-        cws = gf.zeros((len(idx), n))
-        for i in range(k):
-            cws = gf.add(cws, gf.mul(msgs[:, i][:, None], g[i][None, :]))
-        dist = np.count_nonzero(cws != r[None, :], axis=1)
-        j = int(np.argmin(dist))
-        if dist[j] <= cap_t:
-            return cws[j].copy()
+            return gf.add(block[j], offset)
     return None
 
 
@@ -286,40 +288,6 @@ class AffineDecoders:
 def exhaustive_decoders():
     """Registry that forces the exhaustive engine at every level."""
     return AffineDecoders(default=decode_exhaustive)
-
-
-# --- projective Reed-Solomon decoding (m = 1), the recursion's blueprint ---
-
-def decode_prs(gf, d, r, decoders=None):
-    """Decode the [q+1, d+1, q-d+1] projective code from two affine passes.
-
-    First try degree d on the q-point chart and read the last coordinate off
-    the witness's x1^d coefficient; if the combined word is not within half
-    the minimum distance, the last coordinate must be error-free, so subtract
-    its replicated contribution and decode the chart at degree d-1.  Corrects
-    every error of weight < (q-d+1)/2.
-    """
-    if not 1 <= d <= gf.q - 1:
-        raise ValueError(f"degree {d} out of range [1, {gf.q - 1}]")
-    r = gf.asarray(r)
-    if r.shape != (gf.q + 1,):
-        raise ValueError(f"received word length {r.shape} != {gf.q + 1}")
-    decoders = decoders or AffineDecoders()
-    t = Fraction(gf.q - d + 1, 2)
-    r1, r2 = r[:-1], r[-1:]
-    first = decoders.decode(CodeSpec(RM, gf, 1, d), r1)
-    if first.ok:
-        c2 = first.witness.coeff((0, d))
-        cand = np.concatenate([first.codeword, gf.asarray([c2])])
-        if weight(gf.sub(r, cand)) < t:
-            return DecodeResult.success(cand, homogenize(first.witness, d))
-    tail = replicate_scaled(gf, r2, d)
-    second = decoders.decode(CodeSpec(RM, gf, 1, d - 1), gf.sub(r1, tail))
-    if not second.ok:
-        return DecodeResult.fail(BEYOND_RADIUS)
-    f = homogenize(second.witness, d) + Poly(gf, 2, [((0, d), int(r2[0]))])
-    cw = np.concatenate([gf.add(second.codeword, tail), r2])
-    return DecodeResult.success(cw, f)
 
 
 # --- recursive projective decoding ---

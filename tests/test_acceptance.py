@@ -15,7 +15,7 @@ from prmcodes.cli import main
 from prmcodes.codes import (PRM, RM, CodeSpec, code_params, encode, eta,
                             generator_matrix, rm_weight)
 from prmcodes.decoders import (check_error_pattern, decode_prm,
-                               decode_prm_robust, decode_prs)
+                               decode_prm_robust)
 from prmcodes.geometry import projective_points
 from prmcodes.gf import GF
 from prmcodes.poly import eval_projective
@@ -186,7 +186,7 @@ def test_criterion_06_prs_capability():
                             r = c.copy()
                             r[list(sup)] = gf.add(r[list(sup)],
                                                   gf.asarray(vals))
-                            out = decode_prs(gf, d, r)
+                            out = decode_prm_robust(gf, 1, d, r)
                             assert out.ok, (q, d, sup, vals)
                             assert np.array_equal(out.codeword, c)
                             total += 1

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from prmcodes.cli import EXIT_DECODE_FAIL, EXIT_OK, EXIT_USAGE, main, run_simulation
+from prmcodes.codes import PRM, CodeSpec, encode
 from prmcodes.decoders import decode_prm_robust
 from prmcodes.gf import GF
 
@@ -165,6 +166,25 @@ def test_decode_failure_exit_code(tmp_path, capsys):
                                "--d", "3", "--in", str(infile), "--alg", alg)
         assert code == EXIT_DECODE_FAIL
         assert "decode failed" in err
+
+
+def test_engine_bound_is_decode_failure(tmp_path, capsys):
+    # PRM(2,3)/GF(7) needs an RM(2,3) affine decode whose exhaustive scan
+    # exceeds the enumeration bound: exit 2 with a message, no traceback
+    gf = GF(7)
+    c, _ = encode(CodeSpec(PRM, gf, 2, 3), np.arange(10) % 7)
+    c[[0, 30]] = gf.add(c[[0, 30]], gf.asarray([1, 2]))
+    infile = tmp_path / "r.txt"
+    infile.write_text(",".join(str(int(x)) for x in c) + "\n")
+    for alg in ("alg1", "alg2"):
+        code, out, err = run_cli(capsys, "decode", "--q", "7", "--m", "2",
+                                 "--d", "3", "--in", str(infile), "--alg", alg)
+        assert code == EXIT_DECODE_FAIL
+        assert out == "" and err.startswith("error:") and "bound" in err
+    code, out, err = run_cli(capsys, "simulate", "--q", "7", "--m", "2", "--d", "3",
+                             "--errors", "2", "--trials", "1", "--seed", "1")
+    assert code == EXIT_DECODE_FAIL
+    assert out == "" and err.startswith("error:") and "bound" in err
 
 
 def test_decode_exhaustive_engine(tmp_path, capsys):

@@ -4,7 +4,6 @@ force (minimum weight by codebook enumeration, dimension by distinct-codeword
 counting and rank)."""
 
 import itertools
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -32,8 +31,6 @@ def test_parameters_golden_quartic_plane():
     p = code_params(spec_of(PRM, 4, 2, 3))
     assert (p.n, p.k, p.wt) == (21, 10, 8)
     assert p.eta == 6 and p.T == 3 and p.T0 == 2
-    assert p.t == Fraction(8, 2) and p.t0 == Fraction(6, 2)
-    assert p.t1 == Fraction(4, 2) and p.t2 == Fraction(2, 2)
 
 
 def test_parameters_golden_affine():

@@ -12,8 +12,8 @@ from prmcodes.codes import (PRM, RM, CodeSpec, code_params, encode,
 from prmcodes.decoders import (AffineDecoders, DecodeResult,
                                EnumerationBoundError, check_error_pattern,
                                decode_exhaustive, decode_prm,
-                               decode_prm_robust, decode_prs,
-                               decode_rs_affine, exhaustive_decoders, weight)
+                               decode_prm_robust, decode_rs_affine,
+                               exhaustive_decoders, weight)
 from prmcodes.gf import GF
 from prmcodes.poly import eval_affine, eval_projective, parse_poly
 
@@ -69,21 +69,34 @@ def test_exhaustive_corrects_three_errors_on_rm22():
 
 def test_exhaustive_matches_nearest_codeword_scan():
     # dual route: same verdict as an independent full-codebook nearest search
+    # RM(2,2)/GF(7) has 117649 codewords, more than the 2^16 the decoder
+    # compares at once, so its scan runs over offsets of the leading rows.
+    # Random words are nearly all beyond its T = 17, so half of its words are
+    # planted within the radius and both verdicts of that scan run.
     rng = np.random.default_rng(2)
-    for family, q, m, d in [(PRM, 3, 1, 1), (RM, 3, 2, 1), (PRM, 4, 1, 2)]:
+    for family, q, m, d, planted in [(PRM, 3, 1, 1, False), (RM, 3, 2, 1, False),
+                                     (PRM, 4, 1, 2, False), (RM, 7, 2, 2, True)]:
         spec = spec_of(family, q, m, d)
         gf, p = spec.gf, code_params(spec)
         book = codebook(spec)
-        for _ in range(40):
-            r = gf.asarray(rng.integers(0, q, size=p.n))
+        verdicts = set()
+        for i in range(40):
+            if planted and i % 2:
+                e = random_error(gf, rng, p.n, int(rng.integers(0, p.T + 1)))
+                r = gf.add(book[rng.integers(len(book))], e)
+            else:
+                r = gf.asarray(rng.integers(0, q, size=p.n))
             dists = np.count_nonzero(book != r[None, :], axis=1)
             best = int(dists.min())
             out = decode_exhaustive(spec, r)
+            verdicts.add(out.ok)
             if best <= p.T:
                 assert out.ok
                 assert np.count_nonzero(out.codeword != r) == best
             else:
                 assert not out.ok and out.failure == "BeyondRadius"
+        if planted:
+            assert verdicts == {True, False}
 
 
 def test_exhaustive_beyond_radius_explicit():
@@ -222,7 +235,7 @@ def test_prs_corrects_within_radius_exhaustively():
                     for vals in itertools.product(range(1, q), repeat=w):
                         r = cw.copy()
                         r[list(sup)] = gf.add(r[list(sup)], gf.asarray(vals))
-                        out = decode_prs(gf, d, r)
+                        out = decode_prm_robust(gf, 1, d, r)
                         assert out.ok and np.array_equal(out.codeword, cw)
                         assert np.array_equal(eval_projective(out.witness, 1), cw)
 
@@ -233,7 +246,7 @@ def test_prs_last_coordinate_error_uses_first_branch():
     cw, _ = encode(spec, [1, 2, 3])
     r = cw.copy()
     r[5] = gf.add(int(r[5]), 4)
-    out = decode_prs(gf, 2, r)
+    out = decode_prm_robust(gf, 1, 2, r)
     assert out.ok and np.array_equal(out.codeword, cw)
 
 
@@ -250,7 +263,7 @@ def test_prs_second_branch_covers_first_branch_outage():
         cw, _ = encode(spec, rng.integers(0, 5, size=3))
         e = gf.zeros(6)
         e[rng.integers(0, 5)] = rng.integers(1, 5)  # never the last coordinate
-        out = decode_prs(gf, 2, gf.add(cw, e), decoders=refuse_chart)
+        out = decode_prm_robust(gf, 1, 2, gf.add(cw, e), decoders=refuse_chart)
         assert out.ok and np.array_equal(out.codeword, cw)
 
 
@@ -260,16 +273,16 @@ def test_prs_membership_base_when_radius_zero():
     gf = GF(5)
     spec = CodeSpec(PRM, gf, 1, 4)
     cw, _ = encode(spec, [1, 0, 0, 2, 3])
-    out = decode_prs(gf, 4, cw)
+    out = decode_prm_robust(gf, 1, 4, cw)
     assert out.ok and np.array_equal(out.codeword, cw)
 
 
 def test_prs_validates_input():
     gf = GF(5)
     with pytest.raises(ValueError):
-        decode_prs(gf, 0, gf.zeros(6))
+        decode_prm_robust(gf, 1, 0, gf.zeros(6))
     with pytest.raises(ValueError):
-        decode_prs(gf, 2, gf.zeros(5))
+        decode_prm_robust(gf, 1, 2, gf.zeros(5))
 
 
 # --- recursive projective decoding, strict variant ---
