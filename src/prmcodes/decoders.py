@@ -20,7 +20,6 @@ that overload one block but satisfy check_error_pattern.
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
@@ -31,7 +30,7 @@ from . import linalg
 from .codes import (PRM, RM, CodeSpec, NotInCodeError, code_params, eta,
                     generator_matrix, interpolate, interpolate_family,
                     prm_weight, replicate_scaled)
-from .geometry import affine_array, num_projective_points
+from .geometry import num_projective_points
 from .poly import (Poly, embed_poly, eval_projective, homogenize,
                    lift_to_degree, reduce_mod_affine, split_bad_good)
 
@@ -155,6 +154,14 @@ def _syndrome_table(spec):
     return h, powers, classes
 
 
+def _decode_member(spec, r):
+    # radius 0: exactly the codewords decode
+    try:
+        return DecodeResult.success(r.copy(), interpolate(spec, r))
+    except NotInCodeError:
+        return DecodeResult.fail(BEYOND_RADIUS)
+
+
 def decode_exhaustive(spec, r, bound=None):
     """Bounded-distance decoding by brute force, radius floor((wt-1)/2).
 
@@ -170,10 +177,7 @@ def decode_exhaustive(spec, r, bound=None):
     if r.shape != (params.n,):
         raise ValueError(f"received word length {r.shape} != n = {params.n}")
     if params.T == 0:
-        try:
-            return DecodeResult.success(r.copy(), interpolate(spec, r))
-        except NotInCodeError:
-            return DecodeResult.fail(BEYOND_RADIUS)
+        return _decode_member(spec, r)
     q, n = gf.q, params.n
     work_cw = q ** params.k
     work_err = sum((q - 1) ** w * comb(n, w) for w in range(1, params.T + 1))
@@ -190,7 +194,7 @@ def decode_exhaustive(spec, r, bound=None):
             return DecodeResult.fail(BEYOND_RADIUS)
         return DecodeResult.success(cw, interpolate(spec, cw))
     h, powers, classes = _syndrome_table(spec)
-    syn = linalg.mat_vec(gf, h, r)
+    syn = linalg.vec_mat(gf, r, h.T)
     key = int(syn.astype(np.int64) @ powers)
     if key == 0:
         return DecodeResult.success(r.copy(), interpolate(spec, r))
@@ -210,9 +214,15 @@ def decode_rs_affine(spec, r):
     """Berlekamp-Welch for RM(1, d) = RS over the q affine points.
 
     Solves Q(x_i) = r_i E(x_i) with deg Q <= d + T, E monic of degree
-    T = floor((q-d-1)/2); any solution has f = Q/E exactly when wt(e) <= T.
-    The division and a final residual check make the behavior strictly
-    bounded-distance, mirroring decode_exhaustive.
+    T = floor((q-d-1)/2), on the rows of the cached evaluation matrix of
+    RM(1, q-1), whose row j is x^j at the points.  When wt(e) <= T every
+    solution has Q = fE, so the locator E vanishes at every error and r
+    agrees with f wherever E does not vanish, at q - T >= d + 1 + T points.
+    Instead of dividing Q by E, f is interpolated from r on the first d + 1
+    of those points, treating the roots of E as erasures; E has at most T
+    roots, so that square Vandermonde system always exists and is solvable
+    whatever r is.  A final residual check wt(r - f) <= T makes the
+    behavior strictly bounded-distance, mirroring decode_exhaustive.
     """
     gf = spec.gf
     if spec.family != RM or spec.m != 1:
@@ -223,34 +233,17 @@ def decode_rs_affine(spec, r):
         raise ValueError(f"received word length {r.shape} != n = {params.n}")
     d, cap_t = spec.d, params.T
     if cap_t == 0:
-        try:
-            return DecodeResult.success(r.copy(), interpolate(spec, r))
-        except NotInCodeError:
-            return DecodeResult.fail(BEYOND_RADIUS)
-    xs = affine_array(gf, 1)[:, 0]
+        return _decode_member(spec, r)
+    v = generator_matrix(CodeSpec(RM, gf, 1, gf.q - 1))  # row j: x^j at the points
     qcols = d + cap_t + 1
-    mat = gf.zeros((gf.q, qcols + cap_t))
-    rhs = gf.zeros(gf.q)
-    for i in range(gf.q):
-        x, ri = int(xs[i]), int(r[i])
-        xp = 1
-        for jj in range(qcols):
-            mat[i, jj] = xp
-            xp = gf.mul(xp, x)
-        xp = 1
-        for jj in range(cap_t):
-            mat[i, qcols + jj] = gf.neg(gf.mul(ri, xp))
-            xp = gf.mul(xp, x)
-        rhs[i] = gf.mul(ri, xp)
-    sol = linalg.solve(gf, mat, rhs)
+    mat = np.hstack([v[:qcols].T, gf.neg(gf.mul(r[:, None], v[:cap_t].T))])
+    sol = linalg.solve(gf, mat, gf.mul(r, v[cap_t]))
     if sol is None:
         return DecodeResult.fail(BEYOND_RADIUS)
-    qpoly = [int(v) for v in sol[:qcols]]
-    epoly = [int(v) for v in sol[qcols:]] + [1]
-    f, rem = linalg.poly_divmod(gf, qpoly, epoly)
-    if rem:
-        return DecodeResult.fail(BEYOND_RADIUS)
-    cw = linalg.poly_eval_vec(gf, f, xs)
+    locator = linalg.vec_mat(gf, np.append(sol[qcols:], 1), v[:cap_t + 1])
+    keep = np.flatnonzero(locator)[:d + 1]
+    f = linalg.solve(gf, v[:d + 1, keep].T, r[keep])
+    cw = linalg.vec_mat(gf, f, v[:d + 1])
     if weight(gf.sub(r, cw)) > cap_t:
         return DecodeResult.fail(BEYOND_RADIUS)
     witness = Poly(gf, 2, [((0, e), c) for e, c in enumerate(f) if c])
@@ -298,8 +291,8 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
     if m == 0:
         return DecodeResult.success(r.copy(), Poly(gf, 1, [((d,), int(r[0]))]))
     q = gf.q
-    t = Fraction(prm_weight(q, m, d), 2)
-    if t <= 1:
+    wt = prm_weight(q, m, d)
+    if wt <= 2:
         # any correctable r is already a codeword; find its witness
         try:
             f = interpolate_family(gf, PRM, m, d, r)
@@ -320,7 +313,7 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
         if d <= q - 1:
             f = homogenize(f0, d)
             cand = eval_projective(f, m)
-            if weight(gf.sub(r, cand)) < t:
+            if 2 * weight(gf.sub(r, cand)) < wt:
                 _trace(trace, event="accept", part="first", m=m, d=d, f=f)
                 return DecodeResult.success(cand, f)
             _trace(trace, event="reject", part="first", m=m, d=d)
@@ -338,7 +331,7 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
                 if g0.degree <= d - 1:
                     f = homogenize(g0, d) + lift_to_degree(f_sub, d) + parts.good_top
                     cand = eval_projective(f, m)
-                    if weight(gf.sub(r, cand)) < t:
+                    if 2 * weight(gf.sub(r, cand)) < wt:
                         _trace(trace, event="accept", part="first", m=m, d=d, f=f)
                         return DecodeResult.success(cand, f)
                     _trace(trace, event="reject", part="first", m=m, d=d)
@@ -415,16 +408,16 @@ def check_error_pattern(gf, m, d, e):
     q = gf.q
     if e.shape != (num_projective_points(q, m),):
         raise ValueError("pattern length mismatch")
-    if not weight(e) < Fraction(prm_weight(q, m, d), 2):
+    if not 2 * weight(e) < prm_weight(q, m, d):
         return False
     for i in range(m + 1):
         tail_i = e[len(e) - num_projective_points(q, i):]
-        if not weight(tail_i) < Fraction(eta(q, i, d), 2):
+        if not 2 * weight(tail_i) < eta(q, i, d):
             continue
         ok = True
         for j in range(i + 1, m + 1):
             tail_j = e[len(e) - num_projective_points(q, j):]
-            if not weight(tail_j) < Fraction(prm_weight(q, j, d), 2):
+            if not 2 * weight(tail_j) < prm_weight(q, j, d):
                 ok = False
                 break
         if ok:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import DTYPE, GF
+from .gf import DTYPE
 
 
 def num_projective_points(q, m):

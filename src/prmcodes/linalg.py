@@ -1,8 +1,11 @@
-"""Dense linear algebra and univariate polynomial helpers over GF(q).
+"""Dense linear algebra over GF(q).
 
 Matrices are 2-d numpy arrays of element encodings.  Everything here is
-Gaussian elimination driven by the field's table arithmetic; sizes stay in the
-low thousands, so no effort is spent beyond vectorizing the inner row updates.
+Gaussian elimination driven by the field's table arithmetic, plus the one
+vector-matrix product; sizes stay in the low thousands, so no effort is spent
+beyond vectorizing the inner row updates.  Polynomials live elsewhere, as
+`poly.Poly` or as coefficient vectors over a basis whose evaluations are the
+rows of a matrix, so evaluating one is a `vec_mat` with that matrix.
 """
 
 import numpy as np
@@ -67,17 +70,6 @@ def kernel(gf, mat):
     return out
 
 
-def mat_vec(gf, mat, vec):
-    """mat @ vec over GF; mat is (r, c), vec is (c,)."""
-    mat = np.asarray(mat, dtype=DTYPE)
-    out = gf.zeros(mat.shape[0])
-    for j in range(mat.shape[1]):
-        v = int(vec[j])
-        if v:
-            out = gf.add(out, gf.mul(v, mat[:, j]))
-    return out
-
-
 def vec_mat(gf, vec, mat):
     """vec @ mat over GF; vec is (r,), mat is (r, c)."""
     mat = np.asarray(mat, dtype=DTYPE)
@@ -88,56 +80,3 @@ def vec_mat(gf, vec, mat):
             out = gf.add(out, gf.mul(v, mat[i]))
     return out
 
-
-# --- univariate polynomials (coefficient lists, lowest degree first) ---
-
-def poly_trim(f):
-    i = len(f)
-    while i > 0 and f[i - 1] == 0:
-        i -= 1
-    return list(f[:i])
-
-
-def poly_deg(f):
-    """Degree, with deg 0 = -1 for the zero polynomial."""
-    return len(poly_trim(f)) - 1
-
-
-def poly_mul(gf, f, g):
-    f, g = poly_trim(f), poly_trim(g)
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = gf.add(out[i + j], gf.mul(a, b))
-    return out
-
-
-def poly_divmod(gf, f, g):
-    f, g = poly_trim(f), poly_trim(g)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    quo = [0] * max(len(f) - len(g) + 1, 0)
-    rem = list(f)
-    inv_lead = gf.inv(g[-1])
-    while len(rem) >= len(g):
-        c = gf.mul(rem[-1], inv_lead)
-        k = len(rem) - len(g)
-        quo[k] = c
-        for j, b in enumerate(g):
-            rem[k + j] = gf.sub(rem[k + j], gf.mul(c, b))
-        rem = poly_trim(rem)
-        if not rem:
-            break
-    return poly_trim(quo), rem
-
-
-def poly_eval_vec(gf, f, xs):
-    """Evaluate a coefficient list at every entry of a numpy array."""
-    xs = np.asarray(xs, dtype=DTYPE)
-    out = gf.zeros(xs.shape)
-    for c in reversed(poly_trim(f) or [0]):
-        out = gf.add(gf.mul(out, xs), c)
-    return out

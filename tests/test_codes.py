@@ -4,7 +4,6 @@ force (minimum weight by codebook enumeration, dimension by distinct-codeword
 counting and rank)."""
 
 import itertools
-from math import comb
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from prmcodes.codes import (PRM, RM, CodeSpec, NotInCodeError, basis_monomials,
                             prm_weight, recursive_compose, replicate_scaled,
                             rm_dimension, rm_weight)
 from prmcodes.gf import GF
-from prmcodes.poly import Poly, embed_poly, eval_projective, parse_poly
+from prmcodes.poly import embed_poly, eval_projective
 
 EX_CODEWORD = [1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1]
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from prmcodes.codes import (PRM, RM, CodeSpec, code_params, encode,
-                            generator_matrix, replicate_scaled)
+                            generator_matrix)
 from prmcodes.decoders import (AffineDecoders, DecodeResult,
                                EnumerationBoundError, check_error_pattern,
                                decode_exhaustive, decode_prm,
@@ -167,17 +167,50 @@ def test_rs_zero_errors_identity():
 
 
 def test_rs_agrees_with_exhaustive():
+    # GF(8) and GF(9) run the extension-field tables.  Random words there are
+    # mostly beyond the radius, so every second one is planted within it.
     rng = np.random.default_rng(4)
-    for q, d in [(4, 1), (5, 2), (7, 3), (5, 1)]:
+    for q, d, planted in [(4, 1, False), (5, 2, False), (7, 3, False),
+                          (5, 1, False), (8, 2, True), (9, 3, True)]:
         spec = spec_of(RM, q, 1, d)
         gf, p = spec.gf, code_params(spec)
-        for _ in range(100):
-            r = gf.asarray(rng.integers(0, q, size=p.n))
+        verdicts = set()
+        for i in range(100):
+            if planted and i % 2:
+                cw, _ = encode(spec, rng.integers(0, q, size=d + 1))
+                e = random_error(gf, rng, p.n, int(rng.integers(0, p.T + 1)))
+                r = gf.add(cw, e)
+            else:
+                r = gf.asarray(rng.integers(0, q, size=p.n))
             bw = decode_rs_affine(spec, r)
             oracle = decode_exhaustive(spec, r)
+            verdicts.add(bw.ok)
             assert bw.ok == oracle.ok
             if bw.ok:
                 assert np.array_equal(bw.codeword, oracle.codeword)
+                assert bw.witness == oracle.witness
+        assert verdicts == {True, False}
+
+
+def test_rs_round_trip_gf128_at_radius():
+    # RM(1,63)/GF(2^7), the affine code of the projective line PRM(1,63)
+    # over GF(128): at weight T = 32 the codeword comes back; one more error
+    # may fail or land on another codeword, but never outside the radius
+    spec = spec_of(RM, 128, 1, 63)
+    gf, p = spec.gf, code_params(spec)
+    assert p.T == 32
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        cw, f = encode(spec, rng.integers(0, 128, size=64))
+        out = decode_rs_affine(spec, gf.add(cw, random_error(gf, rng, p.n, p.T)))
+        assert out.ok and np.array_equal(out.codeword, cw) and out.witness == f
+        r = gf.add(cw, random_error(gf, rng, p.n, p.T + 1))
+        out = decode_rs_affine(spec, r)
+        if out.ok:
+            assert weight(gf.sub(r, out.codeword)) <= p.T
+            assert np.array_equal(eval_affine(out.witness, 1), out.codeword)
+        else:
+            assert out.failure == "BeyondRadius"
 
 
 def test_rs_rejects_wrong_spec():

@@ -3,7 +3,6 @@ pin the recursion (chart block first, then the smaller projective space)."""
 
 import itertools
 
-import numpy as np
 import pytest
 
 from prmcodes.geometry import (affine_array, affine_points,

@@ -4,12 +4,11 @@ canonical monomial bases (sizes cross-checked against an inclusion-exclusion
 count computed here)."""
 
 import itertools
-from math import comb
 
 import numpy as np
 import pytest
 
-from prmcodes.geometry import affine_points, projective_points
+from prmcodes.geometry import affine_points
 from prmcodes.gf import GF
 from prmcodes.poly import (Poly, affine_basis, dehomogenize, embed_poly,
                            eval_affine, eval_projective, homogenize,
