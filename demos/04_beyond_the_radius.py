@@ -11,7 +11,7 @@ decode, then measures how often each variant survives random weight-3 errors.
 import numpy as np
 
 from prmcodes import (GF, PRM, CodeSpec, check_error_pattern, code_params,
-                      decode_prm, decode_prm_robust, encode)
+                      decode_prm_robust, encode)
 from prmcodes.cli import run_simulation
 
 gf = GF(2, 2)

@@ -131,6 +131,9 @@ def _syndrome_table(spec):
     h = linalg.kernel(gf, g)
     rows = h.shape[0]
     powers = q ** np.arange(rows, dtype=np.int64)
+    # the weight-1 syndromes v * h_i, indexed [i, v]; a weight-w syndrome is
+    # the field sum of w of them
+    unit = gf.mul(np.arange(q)[None, :, None], h.T[:, None, :])
     classes = []
     for w in range(1, cap_t + 1):
         sups = np.array(list(combinations(range(n), w)), dtype=np.int16)
@@ -142,10 +145,9 @@ def _syndrome_table(spec):
         chunk = max(1, 2 ** 21 // max(1, nv * rows))
         for lo in range(0, len(sups), chunk):
             sup = sups[lo:lo + chunk]
-            syn = gf.zeros((len(sup), nv, rows))
-            for slot in range(w):
-                cols = h[:, sup[:, slot]].T  # (chunk, rows)
-                syn = gf.add(syn, gf.mul(vals[None, :, slot, None], cols[:, None, :]))
+            syn = unit[sup[:, 0, None], vals[None, :, 0]]  # (chunk, nv, rows)
+            for slot in range(1, w):
+                syn = gf.add(syn, unit[sup[:, slot, None], vals[None, :, slot]])
             keys[lo * nv:(lo + len(sup)) * nv] = (syn.astype(np.int64) @ powers).ravel()
             sup_idx[lo * nv:(lo + len(sup)) * nv] = np.repeat(
                 np.arange(lo, lo + len(sup), dtype=np.int32), nv)

@@ -12,8 +12,13 @@ primitive element ``xi`` is the class of x for e >= 2 and the smallest
 primitive root mod p for prime fields.  All elements are ordered as
 ``[xi^0, xi^1, ..., xi^(q-2), 0]``.
 
-Scalar arithmetic goes through log/antilog tables; ``add``/``sub``/``mul``
-also accept numpy integer arrays and operate elementwise.
+``add``/``sub``/``mul`` take scalars or numpy integer arrays and work
+elementwise: prime fields by integer arithmetic mod p, extension fields by
+gathers from q x q tables.  ``_sum`` adds an array down its first axis in one
+pass (an integer sum mod p, an XOR reduction for p = 2, a base-p digit sum
+otherwise).  With it, and with products taken in the log domain through the
+log/antilog tables, vector-matrix products and polynomial evaluation run
+without per-row Python loops.
 """
 
 import numpy as np
@@ -189,6 +194,7 @@ class GF:
             for a in range(q):
                 digits[a] = self._digits(a)
             powers = self.p ** np.arange(self.e, dtype=np.int64)
+            self._powers = powers
             self._add_table = (
                 ((digits[:, None, :] + digits[None, :, :]) % self.p) @ powers
             ).astype(DTYPE)
@@ -248,19 +254,15 @@ class GF:
             return 0
         return int(self.antilog_table[(int(self.log_table[a]) * k) % (self.q - 1)])
 
-    def pow_vec(self, arr, k):
-        """Elementwise arr**k for a numpy array of encodings, k >= 0."""
-        if k == 0:
-            return np.ones_like(arr)
-        out = None
-        base = arr
-        while k:
-            if k & 1:
-                out = base if out is None else self.mul(out, base)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return out
+    def _sum(self, arr):
+        """Field sum of a numpy array of encodings down axis 0."""
+        if self.e == 1:
+            return (arr.sum(axis=0, dtype=np.int64) % self.p).astype(DTYPE)
+        if self.p == 2:
+            return np.bitwise_xor.reduce(arr, axis=0).astype(DTYPE, copy=False)
+        # odd p: add the base-p digits of the elements separately
+        digits = arr[..., None] // self._powers % self.p
+        return ((digits.sum(axis=0) % self.p) @ self._powers).astype(DTYPE)
 
     # -- ordering and parsing --------------------------------------------------
 

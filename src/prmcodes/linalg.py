@@ -2,8 +2,10 @@
 
 Matrices are 2-d numpy arrays of element encodings.  Everything here is
 Gaussian elimination driven by the field's table arithmetic, plus the one
-vector-matrix product; sizes stay in the low thousands, so no effort is spent
-beyond vectorizing the inner row updates.  Polynomials live elsewhere, as
+vector-matrix product.  Elimination loops over pivots in Python and updates
+all rows of a pivot step at once; the product is a single array operation,
+an int64 matmul mod p on prime fields and one table gather plus a field sum
+on extension fields.  Polynomials live elsewhere, as
 `poly.Poly` or as coefficient vectors over a basis whose evaluations are the
 rows of a matrix, so evaluating one is a `vec_mat` with that matrix.
 """
@@ -73,10 +75,8 @@ def kernel(gf, mat):
 def vec_mat(gf, vec, mat):
     """vec @ mat over GF; vec is (r,), mat is (r, c)."""
     mat = np.asarray(mat, dtype=DTYPE)
-    out = gf.zeros(mat.shape[1])
-    for i in range(mat.shape[0]):
-        v = int(vec[i])
-        if v:
-            out = gf.add(out, gf.mul(v, mat[i]))
-    return out
-
+    if gf.e == 1:
+        # exact in int64: (p-1)^2 * r < 2^63 for p < 2^16 and r < 2^31
+        prod = np.asarray(vec, dtype=np.int64) @ mat.astype(np.int64)
+        return (prod % gf.p).astype(DTYPE)
+    return gf._sum(gf.mul(np.asarray(vec, dtype=DTYPE)[:, None], mat))

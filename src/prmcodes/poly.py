@@ -15,6 +15,8 @@ import re
 from collections import namedtuple
 from functools import lru_cache
 
+import numpy as np
+
 from .geometry import affine_array, projective_array
 
 
@@ -180,20 +182,28 @@ class Poly:
 # --- evaluation over point blocks ---
 
 def _eval_at(f, pts, base):
-    """Evaluate f at the rows of pts; point column t is variable base+t."""
+    """Evaluate f at the rows of pts; point column t is variable base+t.
+
+    All terms at all points at once, in the log domain: the log of a term is
+    log(coefficient) + sum of exponent * log(coordinate), mod q-1, and the
+    term is 0 wherever a coordinate with a positive exponent is 0.  Positive
+    exponents are first reduced into [1, q-1] as in reduce_mod_affine, which
+    leaves every term's values unchanged and keeps the int64 sums exact
+    however large the exponents are.
+    """
     gf = f.gf
-    out = gf.zeros(len(pts))
-    for exps, c in f.terms.items():
-        term = None
-        for i, e in enumerate(exps):
-            if e:
-                p = gf.pow_vec(pts[:, i - base], e)
-                term = p if term is None else gf.mul(term, p)
-        if term is None:
-            out = gf.add(out, c)
-        else:
-            out = gf.add(out, gf.mul(c, term))
-    return out
+    if not f.terms:
+        return gf.zeros(len(pts))
+    r = gf.q - 1
+    exps = np.array([[(e - 1) % r + 1 if e else 0 for e in t[base:]] for t in f.terms],
+                    dtype=np.int64)
+    coeffs = np.fromiter(f.terms.values(), dtype=np.int64, count=len(f.terms))
+    zero = pts == 0
+    logs = np.where(zero, 0, gf.log_table[pts]).astype(np.int64)
+    term_logs = (exps @ logs.T + gf.log_table[coeffs][:, None]) % r
+    terms = gf.antilog_table[term_logs]
+    terms[(exps > 0).astype(np.int64) @ zero.T.astype(np.int64) > 0] = 0
+    return gf._sum(terms)
 
 
 def eval_affine(f, j=None):

@@ -10,11 +10,12 @@ import pytest
 from prmcodes.codes import (PRM, RM, CodeSpec, code_params, encode,
                             generator_matrix)
 from prmcodes.decoders import (AffineDecoders, DecodeResult,
-                               EnumerationBoundError, check_error_pattern,
-                               decode_exhaustive, decode_prm,
-                               decode_prm_robust, decode_rs_affine,
-                               exhaustive_decoders, weight)
+                               EnumerationBoundError, _syndrome_table,
+                               check_error_pattern, decode_exhaustive,
+                               decode_prm, decode_prm_robust,
+                               decode_rs_affine, exhaustive_decoders, weight)
 from prmcodes.gf import GF
+from prmcodes.linalg import kernel
 from prmcodes.poly import eval_affine, eval_projective, parse_poly
 
 EX_R = [3, 2, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1]
@@ -138,6 +139,43 @@ def test_exhaustive_weight_one_code():
     bad[0] = gf.add(int(bad[0]), 1)
     out = decode_exhaustive(spec, bad)
     assert not out.ok
+
+
+@pytest.mark.parametrize("q,m,d", [(3, 2, 2), (4, 1, 1), (8, 1, 4), (9, 1, 5),
+                                   (3, 2, 1), (8, 1, 3), (9, 1, 4)])
+def test_syndrome_table_matches_per_pattern_build(q, m, d):
+    # the first four take the syndrome route at T = 1; the last three have
+    # T = 2, so their weight-2 syndromes sum two columns
+    spec = spec_of(RM, q, m, d)
+    gf, n, cap_t = spec.gf, code_params(spec).n, code_params(spec).T
+    h = kernel(gf, generator_matrix(spec))
+    rows = h.shape[0]
+    got_h, got_powers, classes = _syndrome_table(spec)
+    assert np.array_equal(got_h, h)
+    assert got_powers.tolist() == [q ** i for i in range(rows)]
+    assert len(classes) == cap_t
+    for w, got in enumerate(classes, start=1):
+        sups = list(itertools.combinations(range(n), w))
+        vals = list(itertools.product(range(1, q), repeat=w))
+        keys, pattern = [], []
+        for si, sup in enumerate(sups):
+            for vi, val in enumerate(vals):
+                key = 0
+                for r in range(rows):
+                    s = 0
+                    for i, v in zip(sup, val):
+                        s = gf.add(s, gf.mul(v, int(h[r, i])))
+                    key += s * q ** r
+                keys.append(key)
+                pattern.append((si, vi))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        want = (np.array([keys[i] for i in order], dtype=np.int64),
+                np.array([pattern[i][0] for i in order], dtype=np.int32),
+                np.array([pattern[i][1] for i in order], dtype=np.int32),
+                np.array(sups, dtype=np.int16),
+                np.array(vals, dtype=np.int16))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # --- Berlekamp-Welch ---

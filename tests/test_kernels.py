@@ -1,0 +1,133 @@
+"""Whole-array GF kernels against scalar references written here: the
+vector-matrix product against a row loop of scalar field operations, and
+polynomial evaluation over point blocks against Poly.evaluate at every point.
+Property tests over prime fields, GF(2^e) and odd-characteristic extension
+fields."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from prmcodes.geometry import affine_points, projective_points
+from prmcodes.gf import GF
+from prmcodes.linalg import vec_mat
+from prmcodes.poly import Poly, eval_affine, eval_projective, lift_to_degree
+
+BIG_P = 65521
+ORDERS = (2, 3, BIG_P, 4, 8, 9, 25, 27, 128)
+FIELDS = {q: GF.from_order(q) for q in ORDERS}
+
+
+def vec_mat_reference(gf, vec, mat):
+    out = [0] * mat.shape[1]
+    for i in range(mat.shape[0]):
+        for j in range(mat.shape[1]):
+            out[j] = gf.add(out[j], gf.mul(int(vec[i]), int(mat[i, j])))
+    return out
+
+
+@st.composite
+def product_inputs(draw):
+    gf = FIELDS[draw(st.sampled_from(ORDERS))]
+    rows = draw(st.integers(0, 12))
+    cols = draw(st.integers(0, 6))
+    elements = st.integers(0, gf.q - 1)
+    vec = draw(arrays(np.int32, rows, elements=elements))
+    mat = draw(arrays(np.int32, (rows, cols), elements=elements))
+    return gf, vec, mat
+
+
+def check_vec_mat(gf, vec, mat):
+    out = vec_mat(gf, vec, mat)
+    assert out.shape == (mat.shape[1],)
+    assert out.tolist() == vec_mat_reference(gf, vec, mat)
+    assert not vec_mat(gf, gf.zeros(len(vec)), mat).any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_inputs())
+@example((FIELDS[4], np.zeros(0, np.int32), np.zeros((0, 3), np.int32)))
+@example((FIELDS[BIG_P], np.zeros(0, np.int32), np.zeros((0, 2), np.int32)))
+def test_vec_mat_matches_row_loop(inputs):
+    check_vec_mat(*inputs)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(300, 360), st.integers(1, 4), st.data())
+def test_vec_mat_prime_near_top(rows, cols, data):
+    # entries near p-1 make every product and partial sum as large as it gets
+    gf = FIELDS[BIG_P]
+    elements = st.integers(BIG_P - 4, BIG_P - 1)
+    vec = data.draw(arrays(np.int32, rows, elements=elements))
+    mat = data.draw(arrays(np.int32, (rows, cols), elements=elements))
+    check_vec_mat(gf, vec, mat)
+    top = np.full(rows, BIG_P - 1, dtype=np.int32)
+    assert vec_mat(gf, top, np.tile(top[:, None], (1, cols))).tolist() == [rows % BIG_P] * cols
+
+
+def chart_size(q):
+    # largest number of chart variables whose point set stays small enough
+    # for the scalar reference; GF(65521) gets its line
+    j = 1
+    while j < 3 and q ** (j + 1) <= 1000:
+        j += 1
+    return j
+
+
+@st.composite
+def affine_polys(draw, gf):
+    j = draw(st.integers(1, chart_size(gf.q)))
+    lead = draw(st.integers(0, 1))  # unused leading variables shift the columns
+    # exponents past q, and past int64, reduce by x^q = x on the points
+    exps = st.tuples(*[st.integers(0, 2 * gf.q) | st.integers(2 ** 63, 2 ** 70)] * j)
+    terms = draw(st.lists(st.tuples(exps, st.integers(1, gf.q - 1)), max_size=4))
+    if draw(st.booleans()):
+        terms.append(((0,) * j, draw(st.integers(1, gf.q - 1))))
+    return Poly(gf, lead + j, [((0,) * lead + e, c) for e, c in terms]), j
+
+
+@st.composite
+def projective_forms(draw, gf):
+    j = draw(st.integers(1, chart_size(gf.q)))
+    lead = draw(st.integers(0, 1))
+    # the leading exponent pads every term to the degree of the largest
+    exps = st.lists(st.integers(0, gf.q + 1), min_size=j, max_size=j)
+    terms = draw(st.lists(st.tuples(exps, st.integers(1, gf.q - 1)), max_size=4))
+    deg = max((sum(e) for e, _ in terms), default=0)
+    f = Poly(gf, lead + j + 1,
+             [((0,) * lead + (deg - sum(e),) + tuple(e), c) for e, c in terms])
+    if deg and draw(st.booleans()):
+        f = lift_to_degree(f, deg + draw(st.integers(1, 2)) * (gf.q - 1))
+    return f, j
+
+
+def evaluate_all(f, points):
+    pad = (0,) * (f.nvars - len(points[0]))
+    return [f.evaluate(pad + pt) for pt in points]
+
+
+@pytest.mark.parametrize("q", ORDERS)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_eval_affine_matches_pointwise(q, data):
+    f, j = data.draw(affine_polys(FIELDS[q]))
+    assert eval_affine(f, j).tolist() == evaluate_all(f, affine_points(f.gf, j))
+
+
+@pytest.mark.parametrize("q", ORDERS)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_eval_projective_matches_pointwise(q, data):
+    f, j = data.draw(projective_forms(FIELDS[q]))
+    assert eval_projective(f, j).tolist() == evaluate_all(f, projective_points(f.gf, j))
+
+
+def test_eval_zero_and_constant():
+    for gf in FIELDS.values():
+        top = gf.q - 1
+        assert not eval_affine(Poly.zero(gf, 2), 1).any()
+        assert not eval_projective(Poly.zero(gf, 2), 1).any()
+        assert eval_affine(Poly.constant(gf, 2, top), 1).tolist() == [top] * gf.q
+        assert eval_projective(Poly.constant(gf, 2, top), 1).tolist() == [top] * (gf.q + 1)
