@@ -31,6 +31,7 @@ from .codes import (PRM, RM, CodeSpec, NotInCodeError, code_params, eta,
                     generator_matrix, interpolate, interpolate_family,
                     prm_weight, replicate_scaled)
 from .geometry import num_projective_points
+from .gf import DTYPE
 from .poly import (Poly, embed_poly, eval_projective, homogenize,
                    lift_to_degree, reduce_mod_affine, split_bad_good)
 
@@ -50,7 +51,7 @@ class _InconsistentBase(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeResult:
     codeword: object
     witness: object
@@ -85,11 +86,14 @@ def _enum_bound():
     return int(os.environ.get("PRM_ENUM_BOUND", DEFAULT_ENUM_BOUND))
 
 
-def _span(gf, rows):
-    # every combination of `rows` by q-fold expansion; the last row varies slowest
-    words = gf.zeros((1, rows.shape[1]))
+def _span(gf, rows, dtype):
+    # every combination of `rows` by q-fold expansion, position-major: column i
+    # is the word whose coefficient of row j is base-q digit j of i
+    words = np.zeros((rows.shape[1], 1), dtype=dtype)
     for row in rows:
-        words = np.concatenate([gf.add(words, gf.mul(v, row)) for v in range(gf.q)])
+        words = np.concatenate(
+            [gf.add(words, gf.mul(v, row)[:, None]).astype(dtype, copy=False)
+             for v in range(gf.q)], axis=1)
     return words
 
 
@@ -98,26 +102,39 @@ def _codebook(spec):
     """(offsets, block): spans of the leading and of the last generator rows.
 
     The block takes as many last rows as fit in 2^16 words; every codeword
-    is one offset plus one block word.
+    is one offset plus one block word.  Both are position-major, one row
+    per code position and one column per word.  The block, which the scan
+    reads in full per offset, holds one byte per symbol (uint8) for
+    q <= 256 and two (uint16) above; the offsets stay in the field dtype.
     """
     gf, g = spec.gf, generator_matrix(spec)
     lo = 0
     while gf.q ** (len(g) - lo) > 2 ** 16:
         lo += 1
-    books = _span(gf, g[:lo]), _span(gf, g[lo:])
+    books = (_span(gf, g[:lo], DTYPE),
+             _span(gf, g[lo:], np.min_scalar_type(gf.q - 1)))
     for book in books:
         book.setflags(write=False)
     return books
 
 
 def _scan_codewords(spec, r, cap_t):
+    # nearest block word to r - offset, one offset at a time; the distance of
+    # every block word is counted position by position in a counter that
+    # holds n, so each step is one compare and one add over a contiguous row
     gf = spec.gf
     offsets, block = _codebook(spec)
-    for offset in offsets:
-        dist = np.count_nonzero(block != gf.sub(r, offset)[None, :], axis=1)
+    n, words = block.shape
+    hit = np.empty(words, dtype=bool)
+    dist = np.empty(words, dtype=np.min_scalar_type(n))
+    for offset in offsets.T:
+        dist.fill(0)
+        for row, s in zip(block, gf.sub(r, offset).astype(block.dtype)):
+            np.not_equal(row, s, out=hit)
+            dist += hit.view(np.uint8)  # a uint8 add; adding bools is slower
         j = int(np.argmin(dist))
         if dist[j] <= cap_t:
-            return gf.add(block[j], offset)
+            return gf.add(block[:, j], offset)
     return None
 
 
@@ -172,6 +189,11 @@ def decode_exhaustive(spec, r, bound=None):
     2^24, env PRM_ENUM_BOUND) raises EnumerationBoundError.  Valid for both
     families; the projective decoders use it as the default affine engine
     for m >= 2 and the tests as the ground-truth oracle.
+
+    The codeword scan reads a cached position-major codebook of up to 2^16
+    words, one byte per symbol for q <= 256 and two above, once per span
+    word of the remaining leading generator rows; the codeword it returns
+    is in the field dtype, like every other result.
     """
     gf = spec.gf
     params = code_params(spec)
@@ -381,6 +403,10 @@ def decode_prm(gf, m, d, r, decoders=None, trace=None):
     Strict variant: a base-case interpolation with no solution means the
     caller violated the radius contract and yields Failure(Inconsistent)
     immediately, with no fallback.
+
+    With the default engines this raises EnumerationBoundError (a
+    RuntimeError) when an affine code the recursion reaches for m >= 2 is
+    too large for decode_exhaustive, even on an error-free word.
     """
     try:
         return _decode_entry(gf, m, d, r, decoders, True, trace)
@@ -393,7 +419,8 @@ def decode_prm_robust(gf, m, d, r, decoders=None, trace=None):
 
     Identical within the guaranteed radius, but keeps trying the remaining
     branches when one block of the received word is hopeless; this recovers
-    all patterns accepted by check_error_pattern even past eta/2.
+    all patterns accepted by check_error_pattern even past eta/2.  Raises
+    EnumerationBoundError as decode_prm does.
     """
     return _decode_entry(gf, m, d, r, decoders, False, trace)
 

@@ -8,7 +8,10 @@ its block-leading variable to 1 and reducing exponents modulo x^q = x gives
 the affine polynomial seen on the {1} x F_q^j chart.
 
 Monomials are exponent tuples; coefficients are field encodings.  Polynomials
-are immutable values and all operations return fresh ones.
+are immutable values and all operations return fresh ones.  Equal exponent
+tuples are shared: the constructor interns each one in a module-wide table,
+so the many polynomials a decode builds and returns over the same monomials
+hold one tuple object per monomial rather than one per term.
 """
 
 import re
@@ -18,6 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import affine_array, projective_array
+
+_MONOMIALS = {}  # exponent tuple -> its one shared instance
 
 
 class Poly:
@@ -33,9 +38,10 @@ class Poly:
         items = terms.items() if isinstance(terms, dict) else terms
         acc = {}
         for exps, c in items:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != nvars or min(exps, default=0) < 0:
                 raise ValueError(f"bad exponent vector {exps} for {nvars} variables")
+            exps = _MONOMIALS.setdefault(exps, exps)
             c = int(c)
             if not 0 <= c < gf.q:
                 raise ValueError(f"coefficient {c} out of range for GF({gf.q})")

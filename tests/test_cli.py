@@ -2,12 +2,15 @@
 and the Monte-Carlo report format."""
 
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prmcodes
 from prmcodes.cli import EXIT_DECODE_FAIL, EXIT_OK, EXIT_USAGE, main, run_simulation
 from prmcodes.codes import PRM, CodeSpec, encode
 from prmcodes.decoders import decode_prm_robust
@@ -288,9 +291,12 @@ def test_no_subcommand_is_usage_error(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package under test, wherever this process found it
+    path = [str(Path(prmcodes.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "prmcodes", "params", "--q", "4", "--m", "2",
          "--d", "3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "n=21,k=10,wt=8,eta=6,T=3,T0=2"

@@ -3,9 +3,12 @@ Berlekamp-Welch against the oracle, and the recursive projective decoders
 against goldens, the oracle, and their guaranteed radii."""
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prmcodes.codes import (PRM, RM, CodeSpec, code_params, encode,
                             generator_matrix)
@@ -98,6 +101,80 @@ def test_exhaustive_matches_nearest_codeword_scan():
                 assert not out.ok and out.failure == "BeyondRadius"
         if planted:
             assert verdicts == {True, False}
+
+
+def test_exhaustive_scan_counter_holds_n():
+    # n = 257 and n = 256 both reach distance 256, one more than a uint8
+    # counter holds; GF(257) also needs two bytes per stored symbol
+    spec = spec_of(RM, 257, 1, 0)  # the constants: [257, 1, 257], T = 128
+    gf = spec.gf
+    out = decode_exhaustive(spec, gf.asarray(np.arange(257)))
+    assert not out.ok and out.failure == "BeyondRadius"  # 256 from every codeword
+    rng = np.random.default_rng(7)
+    for c, w in ((256, 0), (0, 1), (255, 100), (256, 128)):
+        cw = gf.asarray(np.full(257, c))
+        out = decode_exhaustive(spec, gf.add(cw, random_error(gf, rng, 257, w)))
+        assert out.ok and np.array_equal(out.codeword, cw)
+        assert out.codeword.dtype == cw.dtype
+    spec = spec_of(RM, 16, 2, 1)  # [256, 3, 240], T = 119, 4096 codewords
+    gf, book = spec.gf, codebook(spec)
+    for i in range(12):
+        cw = book[rng.integers(len(book))]
+        if i % 3 == 0:  # nonzero at every position: 256 from cw
+            r = gf.add(cw, gf.asarray(rng.integers(1, 16, size=256)))
+        elif i % 3 == 1:
+            r = gf.add(cw, random_error(gf, rng, 256, int(rng.integers(0, 120))))
+        else:
+            r = gf.asarray(rng.integers(0, 16, size=256))
+        dists = np.count_nonzero(book != r[None, :], axis=1)
+        out = decode_exhaustive(spec, r)
+        if dists.min() <= 119:
+            assert out.ok and np.array_equal(out.codeword, book[np.argmin(dists)])
+        else:
+            assert not out.ok and out.failure == "BeyondRadius"
+
+
+# codes on the codeword-scan route with q^k <= 2^12: prime fields, GF(2^e)
+# and odd-characteristic extension fields
+SCAN_CODES = [(RM, 3, 2, 1), (PRM, 3, 2, 1), (RM, 7, 1, 2), (PRM, 5, 1, 1),
+              (RM, 5, 2, 1), (PRM, 7, 2, 1), (RM, 2, 4, 1), (PRM, 2, 3, 1),
+              (RM, 4, 2, 1), (RM, 4, 2, 2), (PRM, 4, 2, 2), (RM, 8, 1, 2),
+              (PRM, 8, 1, 1), (RM, 16, 1, 2), (RM, 9, 1, 2), (PRM, 9, 1, 2),
+              (RM, 9, 2, 1), (RM, 25, 1, 1), (PRM, 27, 1, 1)]
+
+
+@lru_cache(maxsize=None)
+def scan_case(family, q, m, d):
+    spec = spec_of(family, q, m, d)
+    return spec, code_params(spec), codebook(spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SCAN_CODES), st.booleans(), st.data())
+def test_exhaustive_scan_matches_nearest_codeword_search(code, planted, data):
+    spec, p, book = scan_case(*code)
+    gf, m = spec.gf, spec.m
+    if planted:
+        cw = book[data.draw(st.integers(0, len(book) - 1))]
+        w = data.draw(st.integers(0, p.T + 1))
+        sup = data.draw(st.lists(st.integers(0, p.n - 1), min_size=w, max_size=w,
+                                 unique=True))
+        e = gf.zeros(p.n)
+        e[sup] = data.draw(st.lists(st.integers(1, gf.q - 1), min_size=w, max_size=w))
+        r = gf.add(cw, e)
+    else:
+        r = gf.asarray(data.draw(st.lists(st.integers(0, gf.q - 1), min_size=p.n,
+                                          max_size=p.n)))
+    dists = np.count_nonzero(book != r[None, :], axis=1)
+    out = decode_exhaustive(spec, r)
+    if dists.min() <= p.T:
+        assert out.ok
+        assert np.array_equal(out.codeword, book[np.argmin(dists)])
+        assert out.codeword.dtype == r.dtype
+        ev = eval_affine if spec.family == RM else eval_projective
+        assert np.array_equal(ev(out.witness, m), out.codeword)
+    else:
+        assert not out.ok and out.failure == "BeyondRadius"
 
 
 def test_exhaustive_beyond_radius_explicit():

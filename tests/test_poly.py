@@ -308,6 +308,39 @@ def test_embed_poly():
     assert embed_poly(f, 2).nvars == 4
 
 
+# --- shared exponent tuples ---
+
+def _key(f, exps):
+    # the tuple object f stores for the monomial exps
+    return next(e for e in f.terms if e == exps)
+
+
+def test_equal_monomials_share_one_tuple():
+    gf = GF(3)
+    parsed = P(gf, "x0^2+2*x1*x2", 3)
+    homog = homogenize(P(gf, "x1*x2+x2", 3), 2)
+    embedded = embed_poly(P(gf, "x0*x1+x1", 2))
+    built = Poly(gf, 3, {tuple([0, 1, 1]): 2, (2, 0, 0): 1})
+    shared = _key(parsed, (0, 1, 1))
+    assert _key(homog, (0, 1, 1)) is shared
+    assert _key(embedded, (0, 1, 1)) is shared
+    assert _key(built, (0, 1, 1)) is shared
+    assert parsed == built and hash(parsed) == hash(built)
+    assert str(parsed) == str(built) == "x0^2+2*x1*x2"
+    assert str(homog) == "x0*x2+x1*x2" and str(embedded) == "x1*x2+x2"
+
+
+def test_shared_tuples_keep_huge_exponents():
+    gf = GF(3)
+    f = P(gf, "x1+2*x2", 3)
+    big = 1 + 2 ** 64  # lift by 2^64, a multiple of q - 1
+    lifted = lift_to_degree(f, big)
+    assert str(lifted) == f"x1^{big}+2*x2^{big}"
+    assert _key(lifted, (0, big, 0)) is _key(Poly.monomial(gf, (0, big, 0)), (0, big, 0))
+    assert lifted == Poly(gf, 3, [((0, big, 0), 1), ((0, 0, big), 2)])
+    assert np.array_equal(eval_projective(lifted, 1), eval_projective(f, 1))
+
+
 # --- monomial bases ---
 
 def _affine_count(q, m, d):
