@@ -20,9 +20,8 @@ import numpy as np
 
 from . import linalg
 from .gf import GF
-from .geometry import num_projective_points
-from .poly import (Poly, affine_basis, eval_affine, eval_projective,
-                   projective_basis)
+from .geometry import affine_array, num_projective_points, projective_array
+from .poly import Poly, _monomial_values, affine_basis, projective_basis
 
 RM = "RM"
 PRM = "PRM"
@@ -203,16 +202,19 @@ def basis_monomials(spec):
     return affine_basis(spec.gf, spec.m, spec.d)
 
 
-# the evaluated basis, read by generator_matrix and _solver; keyed without a
-# CodeSpec because the recursive decoder also interpolates where d exceeds
-# m(q-1) and the code fills the whole space, which CodeSpec rejects
+# the evaluated basis, read by generator_matrix, _solver and the recursive
+# decoder; keyed without a CodeSpec because the recursive decoder also
+# interpolates where d exceeds m(q-1) and the code fills the whole space,
+# which CodeSpec rejects
 
 @lru_cache(maxsize=None)
 def _eval_matrix(gf, family, m, d):
-    basis, ev = ((projective_basis, eval_projective) if family == PRM
-                 else (affine_basis, eval_affine))
-    mons = basis(gf, m, d)
-    g = np.array([ev(Poly.monomial(gf, exps), m) for exps in mons])
+    if family == PRM:
+        mons = projective_basis(gf, m, d)
+        g = _monomial_values(gf, mons, projective_array(gf, m), 0)
+    else:
+        mons = affine_basis(gf, m, d)
+        g = _monomial_values(gf, mons, affine_array(gf, m), 1)
     g.setflags(write=False)
     return mons, g
 
@@ -246,19 +248,25 @@ def _solver(gf, family, m, d):
     aug, piv2 = linalg.row_reduce(gf, np.hstack([block, np.eye(len(mons), dtype=g.dtype)]))
     assert piv2 == list(range(len(mons)))
     inv = aug[:, len(mons):]
-    return mons, g, tuple(pivots), inv
+    return g, pivots, inv
+
+
+def _coefficients(gf, family, m, d, vec):
+    # interpolate_family's coefficient vector over the basis, without the Poly
+    g, pivots, inv = _solver(gf, family, m, d)
+    vec = gf.asarray(vec)
+    if vec.shape != (g.shape[1],):
+        raise ValueError(f"vector length {vec.shape} != n = {g.shape[1]}")
+    msg = linalg.vec_mat(gf, vec[pivots], inv)
+    if not np.array_equal(linalg.vec_mat(gf, msg, g), vec):
+        raise NotInCodeError(f"vector is not in {family}(m={m}, d={d}) over GF({gf.q})")
+    return msg
 
 
 def interpolate_family(gf, family, m, d, vec):
     """Polynomial over the canonical basis with evaluation `vec`."""
-    mons, g, pivots, inv = _solver(gf, family, m, d)
-    vec = gf.asarray(vec)
-    if vec.shape != (g.shape[1],):
-        raise ValueError(f"vector length {vec.shape} != n = {g.shape[1]}")
-    msg = linalg.vec_mat(gf, vec[list(pivots)], inv)
-    if not np.array_equal(linalg.vec_mat(gf, msg, g), vec):
-        raise NotInCodeError(f"vector is not in {family}(m={m}, d={d}) over GF({gf.q})")
-    return Poly(gf, m + 1, zip(mons, msg))
+    msg = _coefficients(gf, family, m, d, vec)
+    return Poly(gf, m + 1, zip(_eval_matrix(gf, family, m, d)[0], msg))
 
 
 def interpolate(spec, c):

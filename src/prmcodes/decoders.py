@@ -12,6 +12,15 @@ the bounded-distance contract can be registered per (m, d):
 The projective line, the [q+1, d+1, q-d+1] code, is level m = 1 of the same
 recursion.
 
+Inside the recursion a witness is a coefficient vector over a cached monomial
+basis (affine_basis for the affine engines, projective_basis for a level's
+result).  The library's engines hand over the vector they compute; a
+registered engine's Poly is converted once, at the registry.  Homogenizing,
+embedding, lifting, reducing and splitting are index arrays on those vectors
+and evaluation is a vec_mat with the basis evaluation matrix.  A Poly is
+built once per successful decode, for the returned witness, and for trace
+events only when a trace list is passed.
+
 `decode_prm` propagates an unsolvable base-case interpolation as a hard
 Inconsistent failure; `decode_prm_robust` converts every such condition into
 an ordinary branch failure and keeps going, which pays off on error patterns
@@ -19,6 +28,7 @@ that overload one block but satisfy check_error_pattern.
 """
 
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -27,13 +37,13 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .codes import (PRM, RM, CodeSpec, NotInCodeError, code_params, eta,
-                    generator_matrix, interpolate, interpolate_family,
-                    prm_weight, replicate_scaled)
+from .codes import (PRM, RM, CodeSpec, NotInCodeError, _coefficients,
+                    _eval_matrix, basis_monomials, code_params, eta,
+                    generator_matrix, prm_weight, replicate_scaled)
 from .geometry import num_projective_points
 from .gf import DTYPE
-from .poly import (Poly, embed_poly, eval_projective, homogenize,
-                   lift_to_degree, reduce_mod_affine, split_bad_good)
+from .poly import (Poly, _embed_map, _homogenize_map, _lift_map, _reduce_map,
+                   _split_map, affine_basis, embed_poly, projective_basis)
 
 BEYOND_RADIUS = "BeyondRadius"
 NOT_IN_CODE = "NotInCode"
@@ -49,6 +59,9 @@ class EnumerationBoundError(RuntimeError):
 class _InconsistentBase(Exception):
     # internal: unsolvable base-case interpolation under strict semantics
     pass
+
+
+_FAILURES = {}  # failure kind -> its one shared DecodeResult
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,7 +80,11 @@ class DecodeResult:
 
     @classmethod
     def fail(cls, kind):
-        return cls(None, None, kind)
+        """The failed result of this kind, one shared instance per kind."""
+        out = _FAILURES.get(kind)
+        if out is None:
+            out = _FAILURES[kind] = cls(None, None, kind)
+        return out
 
 
 def weight(vec):
@@ -78,6 +95,19 @@ def weight(vec):
 def _trace(trace, **event):
     if trace is not None:
         trace.append(event)
+
+
+def _poly(gf, m, mons, vec):
+    # the Poly in m+1 variables with coefficient vector vec over mons
+    return Poly(gf, m + 1, zip(mons, vec.tolist()))
+
+
+def _with_poly(spec, out):
+    # an engine result whose witness vector becomes a Poly over the basis
+    if not out.ok:
+        return out
+    return DecodeResult.success(
+        out.codeword, _poly(spec.gf, spec.m, basis_monomials(spec), out.witness))
 
 
 # --- exhaustive bounded-distance decoding (the oracle) ---
@@ -168,15 +198,21 @@ def _syndrome_table(spec):
             keys[lo * nv:(lo + len(sup)) * nv] = (syn.astype(np.int64) @ powers).ravel()
             sup_idx[lo * nv:(lo + len(sup)) * nv] = np.repeat(
                 np.arange(lo, lo + len(sup), dtype=np.int32), nv)
-        order = np.argsort(keys, kind="stable")
+        # keys are unique: two patterns of weight <= T with one syndrome
+        # would differ by a codeword of weight <= 2T < wt
+        order = np.argsort(keys)
         classes.append((keys[order], sup_idx[order], val_idx[order], sups, vals))
     return h, powers, classes
+
+
+def _interpolate(spec, c):
+    return _coefficients(spec.gf, spec.family, spec.m, spec.d, c)
 
 
 def _decode_member(spec, r):
     # radius 0: exactly the codewords decode
     try:
-        return DecodeResult.success(r.copy(), interpolate(spec, r))
+        return DecodeResult.success(r.copy(), _interpolate(spec, r))
     except NotInCodeError:
         return DecodeResult.fail(BEYOND_RADIUS)
 
@@ -195,6 +231,11 @@ def decode_exhaustive(spec, r, bound=None):
     word of the remaining leading generator rows; the codeword it returns
     is in the field dtype, like every other result.
     """
+    return _with_poly(spec, _exhaustive(spec, r, bound))
+
+
+def _exhaustive(spec, r, bound=None):
+    # decode_exhaustive with the witness as a coefficient vector over the basis
     gf = spec.gf
     params = code_params(spec)
     r = gf.asarray(r)
@@ -216,19 +257,19 @@ def decode_exhaustive(spec, r, bound=None):
         cw = _scan_codewords(spec, r, params.T)
         if cw is None:
             return DecodeResult.fail(BEYOND_RADIUS)
-        return DecodeResult.success(cw, interpolate(spec, cw))
+        return DecodeResult.success(cw, _interpolate(spec, cw))
     h, powers, classes = _syndrome_table(spec)
     syn = linalg.vec_mat(gf, r, h.T)
     key = int(syn.astype(np.int64) @ powers)
     if key == 0:
-        return DecodeResult.success(r.copy(), interpolate(spec, r))
+        return DecodeResult.success(r.copy(), _interpolate(spec, r))
     for keys, sup_idx, val_idx, sups, vals in classes:
         pos = int(np.searchsorted(keys, key))
         if pos < len(keys) and keys[pos] == key:
             e = gf.zeros(n)
             e[sups[sup_idx[pos]]] = vals[val_idx[pos]]
             cw = gf.sub(r, e)
-            return DecodeResult.success(cw, interpolate(spec, cw))
+            return DecodeResult.success(cw, _interpolate(spec, cw))
     return DecodeResult.fail(BEYOND_RADIUS)
 
 
@@ -248,6 +289,11 @@ def decode_rs_affine(spec, r):
     whatever r is.  A final residual check wt(r - f) <= T makes the
     behavior strictly bounded-distance, mirroring decode_exhaustive.
     """
+    return _with_poly(spec, _rs_affine(spec, r))
+
+
+def _rs_affine(spec, r):
+    # decode_rs_affine with the witness as a coefficient vector over the basis
     gf = spec.gf
     if spec.family != RM or spec.m != 1:
         raise ValueError("decode_rs_affine handles RM specs with m = 1 only")
@@ -270,16 +316,42 @@ def decode_rs_affine(spec, r):
     cw = linalg.vec_mat(gf, f, v[:d + 1])
     if weight(gf.sub(r, cw)) > cap_t:
         return DecodeResult.fail(BEYOND_RADIUS)
-    witness = Poly(gf, 2, [((0, e), c) for e, c in enumerate(f) if c])
-    return DecodeResult.success(cw, witness)
+    return DecodeResult.success(cw, f)  # f[j] is the coefficient of x^j
 
 
 # --- the pluggable affine-decoder registry ---
 
 def _default_affine(spec, r):
-    if spec.m == 1:
-        return decode_rs_affine(spec, r)
-    return decode_exhaustive(spec, r)
+    return _with_poly(spec, _default_vector(spec, r))
+
+
+def _default_vector(spec, r):
+    return (_rs_affine if spec.m == 1 else _exhaustive)(spec, r)
+
+
+# the library's engines with their vector forms, which hand the recursion the
+# basis vector they compute rather than a Poly built from it
+_VECTOR_FORMS = ((_default_affine, _default_vector),
+                 (decode_exhaustive, _exhaustive),
+                 (decode_rs_affine, _rs_affine))
+
+
+@lru_cache(maxsize=None)
+def _chart_positions(gf, m, d):
+    return {mon: i for i, mon in enumerate(affine_basis(gf, m, d))}
+
+
+def _witness_vector(spec, f):
+    # a registered engine's Poly witness as a vector over the basis; the
+    # contract (reduced, degree <= d) keeps every term inside it
+    pos = _chart_positions(spec.gf, spec.m, spec.d)
+    vec = spec.gf.zeros(len(pos))
+    for exps, c in f.terms.items():
+        if exps not in pos:
+            raise ValueError(f"affine decoder for {spec} returned the term "
+                             f"{exps}, not a reduced monomial of degree <= {spec.d}")
+        vec[pos[exps]] = c
+    return vec
 
 
 class AffineDecoders:
@@ -287,6 +359,10 @@ class AffineDecoders:
 
     The default runs Berlekamp-Welch for m = 1 and the exhaustive decoder
     otherwise.  Register alternatives to swap in faster engines per level.
+    The recursion reads each witness as its coefficient vector over the
+    RM(m, d) basis: the library's engines hand that vector over directly, a
+    registered engine's Poly is converted once, and a term outside the basis
+    (a witness breaking the contract) raises ValueError.
     """
 
     def __init__(self, default=None):
@@ -301,6 +377,17 @@ class AffineDecoders:
         fn = self._table.get((spec.m, spec.d), self._default)
         return fn(spec, r)
 
+    def _decode_vector(self, spec, r):
+        # decode, with the witness as a coefficient vector over the basis
+        fn = self._table.get((spec.m, spec.d), self._default)
+        for public, vector_form in _VECTOR_FORMS:
+            if fn is public:
+                return vector_form(spec, r)
+        out = fn(spec, r)
+        if not out.ok:
+            return out
+        return DecodeResult.success(out.codeword, _witness_vector(spec, out.witness))
+
 
 def exhaustive_decoders():
     """Registry that forces the exhaustive engine at every level."""
@@ -309,17 +396,57 @@ def exhaustive_decoders():
 
 # --- recursive projective decoding ---
 
+_Level = namedtuple("_Level", "g hom low tail top top_tail lift red")
+
+
+@lru_cache(maxsize=None)
+def _level(gf, m, d):
+    """Cached arrays that carry the witness vectors of recursion level (m, d).
+
+    The level's witness is a vector over projective_basis(m, d) and g, the
+    PRM(m, d) evaluation matrix, evaluates it.  hom and low homogenize the
+    RM(m, d) and RM(m, d-1) witnesses into that basis and tail embeds the
+    PRM(m-1, d) one.  For d >= q, top holds the positions of the degree-d
+    terms of the RM(m, d) witness, top_tail their evaluations on the tail
+    P^(m-1), and lift and red carry the PRM(m-1, d-(q-1)) sub-witness into
+    projective_basis(m, d) (embed, then lift) and into affine_basis(m, d)
+    (embed, then reduce).
+    """
+    q = gf.q
+    g = _eval_matrix(gf, PRM, m, d)[1]
+    hom = _homogenize_map(gf, m, d, d)
+    top = top_tail = lift = red = None
+    if d > q - 1:
+        d0 = d - (q - 1)
+        top = _split_map(gf, m, d).good_top
+        top_tail = g[hom[top], q ** m:]
+        lift = _lift_map(gf, m, d0, d)[_embed_map(gf, m, d0)]
+        red = _reduce_map(gf, m, d0, d)
+    return _Level(g, hom, _homogenize_map(gf, m, d - 1, d), _embed_map(gf, m, d),
+                  top, top_tail, lift, red)
+
+
+def _scatter(gf, n, *parts):
+    # field sum of each (index array, values) part scattered into n zeros
+    out = gf.zeros(n)
+    for idx, vals in parts:
+        out[idx] = gf.add(out[idx], vals)
+    return out
+
+
 def _decode_level(gf, m, d, r, decoders, strict, trace):
-    # Level m works on the last m+1 variables of its own (m+1)-variable ring;
-    # witnesses travel upward via embed_poly, which prepends the parent lead.
+    # Level m works on the last m+1 variables of its own (m+1)-variable ring.
+    # Its witness is a coefficient vector over projective_basis(gf, m, d),
+    # carried upward by the index arrays of _level; trace events get Polys.
     if m == 0:
-        return DecodeResult.success(r.copy(), Poly(gf, 1, [((d,), int(r[0]))]))
+        c = r.copy()
+        return DecodeResult.success(c, c)  # the coefficient of x0^d
     q = gf.q
     wt = prm_weight(q, m, d)
     if wt <= 2:
         # any correctable r is already a codeword; find its witness
         try:
-            f = interpolate_family(gf, PRM, m, d, r)
+            f = _coefficients(gf, PRM, m, d, r)
         except NotInCodeError:
             _trace(trace, event="base", m=m, d=d, ok=False)
             if strict:
@@ -327,59 +454,79 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
             return DecodeResult.fail(NOT_IN_CODE)
         _trace(trace, event="base", m=m, d=d, ok=True)
         return DecodeResult.success(r.copy(), f)
+    lv = _level(gf, m, d)
+    k = len(lv.g)
     r1, r2 = r[:q ** m], r[q ** m:]
 
     # first part: trust the affine block
-    first = decoders.decode(CodeSpec(RM, gf, m, d), r1)
+    first = decoders._decode_vector(CodeSpec(RM, gf, m, d), r1)
     _trace(trace, event="affine", part="first", m=m, d=d, ok=first.ok)
     if first.ok:
         f0 = first.witness
+        f = None
         if d <= q - 1:
-            f = homogenize(f0, d)
-            cand = eval_projective(f, m)
-            if 2 * weight(gf.sub(r, cand)) < wt:
-                _trace(trace, event="accept", part="first", m=m, d=d, f=f)
-                return DecodeResult.success(cand, f)
-            _trace(trace, event="reject", part="first", m=m, d=d)
+            f = _scatter(gf, k, (lv.hom, f0))
         else:
-            parts = split_bad_good(f0, d)
-            _trace(trace, event="split", m=m, d=d, bad=parts.bad,
-                   good_top=parts.good_top, good_low=parts.good_low)
-            c_good = eval_projective(parts.good_top, m - 1)
+            if trace is not None:
+                mons = affine_basis(gf, m, d)
+                bad, top, low = (_poly(gf, m, [mons[i] for i in idx], f0[idx])
+                                 for idx in _split_map(gf, m, d))
+                trace.append(dict(event="split", m=m, d=d, bad=bad,
+                                  good_top=top, good_low=low))
+            c_good = linalg.vec_mat(gf, f0[lv.top], lv.top_tail)
             sub = _decode_level(gf, m - 1, d - (q - 1), gf.sub(r2, c_good),
                                 decoders, strict, trace)
             if sub.ok:
-                f_sub = embed_poly(sub.witness)
-                g0 = reduce_mod_affine(f0 - f_sub - parts.good_top)
-                _trace(trace, event="residue", m=m, d=d, f_sub=f_sub, g0=g0)
-                if g0.degree <= d - 1:
-                    f = homogenize(g0, d) + lift_to_degree(f_sub, d) + parts.good_top
-                    cand = eval_projective(f, m)
-                    if 2 * weight(gf.sub(r, cand)) < wt:
-                        _trace(trace, event="accept", part="first", m=m, d=d, f=f)
-                        return DecodeResult.success(cand, f)
-                    _trace(trace, event="reject", part="first", m=m, d=d)
-                else:
-                    # the affine witness cannot come from a degree-d form
-                    _trace(trace, event="reject", part="first", m=m, d=d,
-                           reason="residue degree")
+                # f = homogenize(g0) + lift(f_sub) + good_top with g0 the
+                # reduction of f0 - f_sub - good_top, whose degree is below d;
+                # good_top is its own homogenization, so f is homogenize(h)
+                # + lift(f_sub) with h = g0 + good_top = f0 - reduced f_sub
+                h = f0.copy()
+                h[lv.red] = gf.sub(h[lv.red], sub.witness)
+                if trace is not None:
+                    g0 = h.copy()
+                    g0[lv.top] = 0
+                    f_sub = _poly(gf, m - 1, projective_basis(gf, m - 1, d - (q - 1)),
+                                  sub.witness)
+                    trace.append(dict(event="residue", m=m, d=d, f_sub=embed_poly(f_sub),
+                                      g0=_poly(gf, m, affine_basis(gf, m, d), g0)))
+                f = _scatter(gf, k, (lv.hom, h), (lv.lift, sub.witness))
+        if f is not None:
+            cand = linalg.vec_mat(gf, f, lv.g)
+            if 2 * weight(gf.sub(r, cand)) < wt:
+                if trace is not None:
+                    trace.append(dict(event="accept", part="first", m=m, d=d,
+                                      f=_poly(gf, m, projective_basis(gf, m, d), f)))
+                return DecodeResult.success(cand, f)
+            _trace(trace, event="reject", part="first", m=m, d=d)
 
     # second part: trust the projective tail
     second = _decode_level(gf, m - 1, d, r2, decoders, strict, trace)
-    _trace(trace, event="tail", m=m, d=d, ok=second.ok,
-           v=second.codeword, g=embed_poly(second.witness) if second.ok else None)
+    if trace is not None:
+        g = None
+        if second.ok:
+            g = embed_poly(_poly(gf, m - 1, projective_basis(gf, m - 1, d),
+                                 second.witness))
+        trace.append(dict(event="tail", m=m, d=d, ok=second.ok,
+                          v=second.codeword, g=g))
     if not second.ok:
         return DecodeResult.fail(BEYOND_RADIUS)
     v = second.codeword
     vxd = replicate_scaled(gf, v, d)
-    aff = decoders.decode(CodeSpec(RM, gf, m, d - 1), gf.sub(r1, vxd))
-    _trace(trace, event="affine", part="second", m=m, d=d - 1, ok=aff.ok,
-           u=aff.codeword, f_low=aff.witness)
+    aff = decoders._decode_vector(CodeSpec(RM, gf, m, d - 1), gf.sub(r1, vxd))
+    if trace is not None:
+        f_low = None
+        if aff.ok:
+            f_low = _poly(gf, m, affine_basis(gf, m, d - 1), aff.witness)
+        trace.append(dict(event="affine", part="second", m=m, d=d - 1,
+                          ok=aff.ok, u=aff.codeword, f_low=f_low))
     if not aff.ok:
         return DecodeResult.fail(BEYOND_RADIUS)
-    f = homogenize(aff.witness, d) + embed_poly(second.witness)
+    f = _scatter(gf, k, (lv.low, aff.witness), (lv.tail, second.witness))
     cw = np.concatenate([gf.add(aff.codeword, vxd), v])
-    _trace(trace, event="accept", part="second", m=m, d=d, f=f)
+    if trace is not None:
+        trace.append(dict(event="accept", part="second", m=m, d=d,
+                          f=_poly(gf, m, projective_basis(gf, m, d), f)))
     return DecodeResult.success(cw, f)
 
 
@@ -391,10 +538,13 @@ def _decode_entry(gf, m, d, r, decoders, strict, trace):
     if r.shape != (n,):
         raise ValueError(f"received word length {r.shape} != n = {n}")
     out = _decode_level(gf, m, d, r, decoders or AffineDecoders(), strict, trace)
-    if out.ok:
-        if not np.array_equal(eval_projective(out.witness, m), out.codeword):
-            raise AssertionError("witness does not evaluate to the codeword")
-    return out
+    if not out.ok:
+        return out
+    # the one Poly of a decode, built once the witness vector checks out
+    mons, g = _eval_matrix(gf, PRM, m, d)
+    if not np.array_equal(linalg.vec_mat(gf, out.witness, g), out.codeword):
+        raise AssertionError("witness does not evaluate to the codeword")
+    return DecodeResult.success(out.codeword, _poly(gf, m, mons, out.witness))
 
 
 def decode_prm(gf, m, d, r, decoders=None, trace=None):

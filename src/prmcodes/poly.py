@@ -10,8 +10,14 @@ the affine polynomial seen on the {1} x F_q^j chart.
 Monomials are exponent tuples; coefficients are field encodings.  Polynomials
 are immutable values and all operations return fresh ones.  Equal exponent
 tuples are shared: the constructor interns each one in a module-wide table,
-so the many polynomials a decode builds and returns over the same monomials
-hold one tuple object per monomial rather than one per term.
+so the many polynomials a decode returns over the same monomials hold one
+tuple object per monomial rather than one per term.
+
+The recursive decoder does not build Polys as it goes: its witnesses are
+coefficient vectors over the monomial bases below, and the ring maps act on
+them as cached index arrays (`_homogenize_map` and its siblings), which the
+tests hold to the Poly maps here.  A vector over a basis evaluates as a
+`linalg.vec_mat` with the matrix of the basis monomials' values.
 """
 
 import re
@@ -20,7 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import linalg
 from .geometry import affine_array, projective_array
+from .gf import DTYPE
 
 _MONOMIALS = {}  # exponent tuple -> its one shared instance
 
@@ -45,7 +53,8 @@ class Poly:
             c = int(c)
             if not 0 <= c < gf.q:
                 raise ValueError(f"coefficient {c} out of range for GF({gf.q})")
-            c = gf.add(acc.get(exps, 0), c)
+            if exps in acc:
+                c = gf.add(acc[exps], c)
             if c:
                 acc[exps] = c
             else:
@@ -187,29 +196,34 @@ class Poly:
 
 # --- evaluation over point blocks ---
 
-def _eval_at(f, pts, base):
-    """Evaluate f at the rows of pts; point column t is variable base+t.
+def _monomial_values(gf, mons, pts, base):
+    """Values of the monomials `mons` at the rows of pts, one row per monomial;
+    point column t is variable base+t.
 
-    All terms at all points at once, in the log domain: the log of a term is
-    log(coefficient) + sum of exponent * log(coordinate), mod q-1, and the
-    term is 0 wherever a coordinate with a positive exponent is 0.  Positive
-    exponents are first reduced into [1, q-1] as in reduce_mod_affine, which
-    leaves every term's values unchanged and keeps the int64 sums exact
-    however large the exponents are.
+    All monomials at all points at once, in the log domain: the log of a
+    value is the sum of exponent * log(coordinate), mod q-1, and the value is
+    0 wherever a coordinate with a positive exponent is 0.  Positive exponents
+    are first reduced into [1, q-1] as in reduce_mod_affine, which leaves the
+    values unchanged and keeps the int64 sums exact however large the
+    exponents are.
     """
+    r = gf.q - 1
+    exps = np.array([[(e - 1) % r + 1 if e else 0 for e in mon[base:]] for mon in mons],
+                    dtype=np.int64)
+    zero = pts == 0
+    logs = np.where(zero, 0, gf.log_table[pts]).astype(np.int64)
+    values = gf.antilog_table[exps @ logs.T % r]
+    values[(exps > 0).astype(np.int64) @ zero.T.astype(np.int64) > 0] = 0
+    return values
+
+
+def _eval_at(f, pts, base):
+    # the coefficient vector times the values of f's monomials at pts
     gf = f.gf
     if not f.terms:
         return gf.zeros(len(pts))
-    r = gf.q - 1
-    exps = np.array([[(e - 1) % r + 1 if e else 0 for e in t[base:]] for t in f.terms],
-                    dtype=np.int64)
-    coeffs = np.fromiter(f.terms.values(), dtype=np.int64, count=len(f.terms))
-    zero = pts == 0
-    logs = np.where(zero, 0, gf.log_table[pts]).astype(np.int64)
-    term_logs = (exps @ logs.T + gf.log_table[coeffs][:, None]) % r
-    terms = gf.antilog_table[term_logs]
-    terms[(exps > 0).astype(np.int64) @ zero.T.astype(np.int64) > 0] = 0
-    return gf._sum(terms)
+    coeffs = np.fromiter(f.terms.values(), dtype=DTYPE, count=len(f.terms))
+    return linalg.vec_mat(gf, coeffs, _monomial_values(gf, f.terms, pts, base))
 
 
 def eval_affine(f, j=None):
@@ -380,6 +394,76 @@ def affine_basis(gf, m, d):
         for exps in _bounded_comps(t, m, q - 1):
             out.append((0,) + exps)
     return tuple(out)
+
+
+# --- the ring maps on coefficient vectors over the bases ---
+#
+# On the bases the recursive decoder works in, each ring map above sends every
+# basis monomial to one monomial of another basis, with coefficient 1 and no
+# two to the same one.  Such a map is an index array idx: the coefficient of
+# src[i] lands at position idx[i] of dst.  The arrays are cached per (m, d)
+# and computed on exponent tuples; the tests hold them to the ring maps.
+
+def _index_map(src, dst, image):
+    pos = {mon: i for i, mon in enumerate(dst)}
+    idx = [pos[image(mon)] for mon in src]
+    if len(set(idx)) != len(idx):
+        raise AssertionError("two basis monomials map to one")
+    idx = np.array(idx, dtype=np.intp)
+    idx.setflags(write=False)
+    return idx
+
+
+@lru_cache(maxsize=None)
+def _homogenize_map(gf, m, d0, d):
+    """affine_basis(m, d0) into projective_basis(m, d), as homogenize(., d)."""
+    return _index_map(affine_basis(gf, m, d0), projective_basis(gf, m, d),
+                      lambda mon: (d - sum(mon),) + mon[1:])
+
+
+@lru_cache(maxsize=None)
+def _embed_map(gf, m, d):
+    """projective_basis(m-1, d) into projective_basis(m, d), as embed_poly."""
+    return _index_map(projective_basis(gf, m - 1, d), projective_basis(gf, m, d),
+                      lambda mon: (0,) + mon)
+
+
+@lru_cache(maxsize=None)
+def _lift_map(gf, m, d0, d):
+    """projective_basis(m, d0) into projective_basis(m, d), as lift_to_degree."""
+    def lift(mon):
+        lead = next(i for i, e in enumerate(mon) if e)
+        return mon[:lead] + (mon[lead] + d - d0,) + mon[lead + 1:]
+    return _index_map(projective_basis(gf, m, d0), projective_basis(gf, m, d), lift)
+
+
+@lru_cache(maxsize=None)
+def _reduce_map(gf, m, d0, d):
+    """projective_basis(m-1, d0) into affine_basis(m, d), as embed_poly then
+    reduce_mod_affine."""
+    r = gf.q - 1
+    return _index_map(projective_basis(gf, m - 1, d0), affine_basis(gf, m, d),
+                      lambda mon: (0,) + tuple((e - 1) % r + 1 if e else 0 for e in mon))
+
+
+@lru_cache(maxsize=None)
+def _split_map(gf, m, d):
+    """BadGoodSplit of the positions in affine_basis(m, d) whose terms
+    split_bad_good sends to each part."""
+    r = gf.q - 1
+    bad, top, low = [], [], []
+    for i, mon in enumerate(affine_basis(gf, m, d)):
+        t = sum(mon)
+        if t == d:
+            top.append(i)
+        elif 0 < t and (d - t) % r == 0:
+            bad.append(i)
+        else:
+            low.append(i)
+    split = BadGoodSplit(*(np.array(p, dtype=np.intp) for p in (bad, top, low)))
+    for idx in split:
+        idx.setflags(write=False)
+    return split
 
 
 # --- text form ---

@@ -19,7 +19,7 @@ from prmcodes.decoders import (AffineDecoders, DecodeResult,
                                decode_rs_affine, exhaustive_decoders, weight)
 from prmcodes.gf import GF
 from prmcodes.linalg import kernel
-from prmcodes.poly import eval_affine, eval_projective, parse_poly
+from prmcodes.poly import Poly, eval_affine, eval_projective, parse_poly
 
 EX_R = [3, 2, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1]
 EX_C = [1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1]
@@ -255,6 +255,20 @@ def test_syndrome_table_matches_per_pattern_build(q, m, d):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("q,m,d", [(3, 2, 1), (8, 1, 3), (9, 1, 4), (7, 1, 2),
+                                   (5, 2, 3)])
+def test_syndrome_keys_unique_across_classes(q, m, d):
+    # two patterns of weight <= T with one syndrome would differ by a
+    # codeword of weight <= 2T < wt, so no key repeats in or across classes;
+    # RM(2,3)/GF(5) is the plane-t0 table, T = 4 and 3.39M patterns
+    spec = spec_of(RM, q, m, d)
+    assert code_params(spec).T >= 2
+    classes = _syndrome_table(spec)[2]
+    keys = np.concatenate([c[0] for c in classes])
+    assert len(np.unique(keys)) == len(keys)
+    assert all((np.diff(c[0]) > 0).all() for c in classes)
+
+
 # --- Berlekamp-Welch ---
 
 def test_rs_golden_single_error():
@@ -335,6 +349,21 @@ def test_rs_rejects_wrong_spec():
         decode_rs_affine(spec_of(RM, 4, 2, 1), GF(2, 2).zeros(16))
 
 
+def test_failures_are_shared_per_kind():
+    beyond = DecodeResult.fail("BeyondRadius")
+    assert beyond is DecodeResult.fail("BeyondRadius")
+    assert beyond is not DecodeResult.fail("NotInCode")
+    assert beyond == DecodeResult(None, None, "BeyondRadius")
+    assert beyond != DecodeResult.fail("NotInCode")
+    assert not beyond.ok and beyond.codeword is None and beyond.witness is None
+    assert DecodeResult.success(np.zeros(2), None).ok
+    # decodes return the shared instance
+    gf = GF(3)
+    far = gf.asarray([1, 2] * 20)
+    outs = [decode_prm_robust(gf, 3, 2, far) for _ in range(2)]
+    assert not outs[0].ok and outs[0] is outs[1] is DecodeResult.fail(outs[0].failure)
+
+
 # --- the registry ---
 
 def test_registry_dispatch_and_override():
@@ -350,6 +379,23 @@ def test_registry_dispatch_and_override():
     cw, _ = encode(spec, [1, 0, 2, 1, 0, 0])
     out = decode_prm(gf, 2, 2, cw, decoders=decoders)
     assert out.ok and (2, 2) in calls
+
+
+def test_registry_rejects_witness_outside_the_basis():
+    # the contract asks for a reduced witness of degree <= d; x1^3 over GF(3)
+    # evaluates like x1 on the chart but is no basis monomial, so the
+    # recursion refuses it instead of carrying it along
+    gf = GF(3)
+
+    def unreduced(spec, r):
+        out = decode_exhaustive(spec, r)
+        x1 = Poly.monomial(gf, (0, 1, 0))
+        return DecodeResult.success(out.codeword, out.witness - x1 + x1 * x1 * x1)
+
+    spec = CodeSpec(PRM, gf, 2, 2)
+    cw, _ = encode(spec, [1, 0, 2, 1, 0, 0])
+    with pytest.raises(ValueError, match="not a reduced monomial"):
+        decode_prm(gf, 2, 2, cw, decoders=AffineDecoders().register(2, 2, unreduced))
 
 
 def test_exhaustive_registry_forces_oracle():
