@@ -50,6 +50,7 @@ NOT_IN_CODE = "NotInCode"
 INCONSISTENT = "Inconsistent"
 
 DEFAULT_ENUM_BOUND = 2 ** 24
+_TABLE_PATTERNS = 2 ** 18  # syndrome-table size cap, unless ceil(T/2) classes hold more
 
 
 class EnumerationBoundError(RuntimeError):
@@ -98,8 +99,11 @@ def _trace(trace, **event):
 
 
 def _poly(gf, m, mons, vec):
-    # the Poly in m+1 variables with coefficient vector vec over mons
-    return Poly(gf, m + 1, zip(mons, vec.tolist()))
+    # the Poly in m+1 variables with coefficient vector vec over mons, which
+    # are interned basis monomials, so the terms need no checks
+    nz = np.flatnonzero(vec)
+    return Poly._of_terms(gf, m + 1, dict(zip([mons[i] for i in nz.tolist()],
+                                              vec[nz].tolist())))
 
 
 def _with_poly(spec, out):
@@ -168,13 +172,31 @@ def _scan_codewords(spec, r, cap_t):
     return None
 
 
+def _patterns(q, n, w):
+    # the number of error patterns of weight w
+    return (q - 1) ** w * comb(n, w)
+
+
 @lru_cache(maxsize=8)
 def _syndrome_table(spec):
-    """Sorted syndrome-key tables of every error pattern of weight <= T."""
+    """Sorted syndrome-key tables of the light error patterns, weights 1..h.
+
+    h is the largest weight whose classes 1..h hold at most 2^18 patterns
+    together, but never less than ceil(T/2), so a pattern of any weight W in
+    (h, T] is the sum of a stored pattern of weight W-h and one of weight h;
+    _find_pattern looks those up as a join of the two classes.
+    """
     gf = spec.gf
     params = code_params(spec)
     g = generator_matrix(spec)
     n, q, cap_t = params.n, gf.q, params.T
+    top = (cap_t + 1) // 2  # the heaviest stored weight, h
+    stored = sum(_patterns(q, n, w) for w in range(1, top + 1))
+    while top < cap_t:
+        stored += _patterns(q, n, top + 1)
+        if stored > _TABLE_PATTERNS:
+            break
+        top += 1
     h = linalg.kernel(gf, g)
     rows = h.shape[0]
     powers = q ** np.arange(rows, dtype=np.int64)
@@ -182,7 +204,7 @@ def _syndrome_table(spec):
     # the field sum of w of them
     unit = gf.mul(np.arange(q)[None, :, None], h.T[:, None, :])
     classes = []
-    for w in range(1, cap_t + 1):
+    for w in range(1, top + 1):
         sups = np.array(list(combinations(range(n), w)), dtype=np.int16)
         vals = np.array(list(product(range(1, q), repeat=w)), dtype=np.int16)
         nv = len(vals)
@@ -203,6 +225,38 @@ def _syndrome_table(spec):
         order = np.argsort(keys)
         classes.append((keys[order], sup_idx[order], val_idx[order], sups, vals))
     return h, powers, classes
+
+
+def _find_pattern(gf, n, cap_t, key, powers, classes):
+    # the one error pattern of weight <= cap_t whose syndrome has this key, or
+    # None.  Past the stored classes 1..h, h = len(classes), a pattern of
+    # weight W in (h, cap_t] is e1 + e2 with wt(e1) = W-h and wt(e2) = h: for
+    # every stored e1 of weight W-h at once, one searchsorted asks whether
+    # s - syn(e1) is a key of class h.  Any hit is a pattern of weight <= W
+    # with syndrome s, and that pattern is unique, so every hit gives the same
+    # e.  The first W that hits is wt(e), where e1 and e2 are disjoint parts
+    # of e; the field add keeps e right for any hit.
+    for keys, sup_idx, val_idx, sups, vals in classes:
+        pos = int(np.searchsorted(keys, key))
+        if pos < len(keys) and keys[pos] == key:
+            e = gf.zeros(n)
+            e[sups[sup_idx[pos]]] = vals[val_idx[pos]]
+            return e
+    q = gf.q
+    syn = key // powers % q
+    h_keys, h_sup_idx, h_val_idx, h_sups, h_vals = classes[-1]
+    for keys, sup_idx, val_idx, sups, vals in classes[:cap_t - len(classes)]:
+        rest = gf.sub(syn, keys[:, None] // powers % q).astype(np.int64) @ powers
+        pos = np.minimum(np.searchsorted(h_keys, rest), len(h_keys) - 1)
+        hit = np.flatnonzero(h_keys[pos] == rest)
+        if len(hit):
+            i, j = hit[0], pos[hit[0]]
+            e = gf.zeros(n)
+            e[sups[sup_idx[i]]] = vals[val_idx[i]]
+            sup = h_sups[h_sup_idx[j]]
+            e[sup] = gf.add(e[sup], h_vals[h_val_idx[j]])
+            return e
+    return None
 
 
 def _interpolate(spec, c):
@@ -230,31 +284,46 @@ def decode_exhaustive(spec, r, bound=None):
     words, one byte per symbol for q <= 256 and two above, once per span
     word of the remaining leading generator rows; the codeword it returns
     is in the field dtype, like every other result.
+
+    The syndrome lookup stores the error patterns of weights 1..h only, the
+    most classes that fit in 2^18 patterns but at least ceil(T/2) of them.
+    A heavier pattern, of weight W <= T, is found by a join: one stored
+    pattern of weight W-h whose syndrome, subtracted from the received one,
+    leaves the syndrome of a stored pattern of weight h.  The route and the
+    bound are still costed on the count of all patterns of weight <= T.
     """
     return _with_poly(spec, _exhaustive(spec, r, bound))
+
+
+@lru_cache(maxsize=None)
+def _route(spec):
+    # (n, T, codeword-scan work, pattern-scan work or None when syndrome keys
+    # would not fit in an int64) of an exhaustive decode, fixed per code
+    params = code_params(spec)
+    q, n = spec.gf.q, params.n
+    work_cw = q ** params.k
+    work_err = sum(_patterns(q, n, w) for w in range(1, params.T + 1))
+    if q ** (n - params.k) >= 2 ** 62:
+        work_err = None
+    return n, params.T, work_cw, work_err
 
 
 def _exhaustive(spec, r, bound=None):
     # decode_exhaustive with the witness as a coefficient vector over the basis
     gf = spec.gf
-    params = code_params(spec)
+    n, cap_t, work_cw, work_err = _route(spec)
     r = gf.asarray(r)
-    if r.shape != (params.n,):
-        raise ValueError(f"received word length {r.shape} != n = {params.n}")
-    if params.T == 0:
+    if r.shape != (n,):
+        raise ValueError(f"received word length {r.shape} != n = {n}")
+    if cap_t == 0:
         return _decode_member(spec, r)
-    q, n = gf.q, params.n
-    work_cw = q ** params.k
-    work_err = sum((q - 1) ** w * comb(n, w) for w in range(1, params.T + 1))
-    if q ** (n - params.k) >= 2 ** 62:
-        work_err = None
     bound = _enum_bound() if bound is None else bound
     if min(w for w in (work_cw, work_err) if w is not None) > bound:
         raise EnumerationBoundError(
             f"{spec}: codeword scan {work_cw}, pattern scan {work_err} "
             f"both exceed bound {bound}")
     if work_err is None or work_cw <= work_err:
-        cw = _scan_codewords(spec, r, params.T)
+        cw = _scan_codewords(spec, r, cap_t)
         if cw is None:
             return DecodeResult.fail(BEYOND_RADIUS)
         return DecodeResult.success(cw, _interpolate(spec, cw))
@@ -263,14 +332,11 @@ def _exhaustive(spec, r, bound=None):
     key = int(syn.astype(np.int64) @ powers)
     if key == 0:
         return DecodeResult.success(r.copy(), _interpolate(spec, r))
-    for keys, sup_idx, val_idx, sups, vals in classes:
-        pos = int(np.searchsorted(keys, key))
-        if pos < len(keys) and keys[pos] == key:
-            e = gf.zeros(n)
-            e[sups[sup_idx[pos]]] = vals[val_idx[pos]]
-            cw = gf.sub(r, e)
-            return DecodeResult.success(cw, _interpolate(spec, cw))
-    return DecodeResult.fail(BEYOND_RADIUS)
+    e = _find_pattern(gf, n, cap_t, key, powers, classes)
+    if e is None:
+        return DecodeResult.fail(BEYOND_RADIUS)
+    cw = gf.sub(r, e)
+    return DecodeResult.success(cw, _interpolate(spec, cw))
 
 
 # --- Reed-Solomon decoding for the m = 1 affine codes ---

@@ -9,9 +9,9 @@ the affine polynomial seen on the {1} x F_q^j chart.
 
 Monomials are exponent tuples; coefficients are field encodings.  Polynomials
 are immutable values and all operations return fresh ones.  Equal exponent
-tuples are shared: the constructor interns each one in a module-wide table,
-so the many polynomials a decode returns over the same monomials hold one
-tuple object per monomial rather than one per term.
+tuples are shared: the constructor and the monomial bases intern each one in
+a module-wide table, so the many polynomials a decode returns over the same
+monomials hold one tuple object per monomial rather than one per term.
 
 The recursive decoder does not build Polys as it goes: its witnesses are
 coefficient vectors over the monomial bases below, and the ring maps act on
@@ -33,6 +33,10 @@ from .gf import DTYPE
 _MONOMIALS = {}  # exponent tuple -> its one shared instance
 
 
+def _intern(exps):
+    return _MONOMIALS.setdefault(exps, exps)
+
+
 class Poly:
     """Sparse polynomial: map from exponent tuple to nonzero coefficient.
 
@@ -49,7 +53,7 @@ class Poly:
             exps = tuple(map(int, exps))
             if len(exps) != nvars or min(exps, default=0) < 0:
                 raise ValueError(f"bad exponent vector {exps} for {nvars} variables")
-            exps = _MONOMIALS.setdefault(exps, exps)
+            exps = _intern(exps)
             c = int(c)
             if not 0 <= c < gf.q:
                 raise ValueError(f"coefficient {c} out of range for GF({gf.q})")
@@ -62,6 +66,15 @@ class Poly:
         self.gf = gf
         self.nvars = nvars
         self.terms = acc
+
+    @classmethod
+    def _of_terms(cls, gf, nvars, terms):
+        # a Poly holding the dict `terms` as is, for callers whose keys are
+        # interned exponent tuples of length nvars and whose values are
+        # nonzero int field elements; the constructor checks all of that
+        f = object.__new__(cls)
+        f.gf, f.nvars, f.terms = gf, nvars, terms
+        return f
 
     # -- constructors --------------------------------------------------------
 
@@ -345,6 +358,9 @@ def split_bad_good(f, d):
 
 
 # --- monomial bases ---
+#
+# Basis monomials are interned when a basis is built, so a Poly over a basis
+# can take them as its keys directly.
 
 def _bounded_comps(total, parts, cap):
     # exponent tuples summing to total, each in [0, cap], lexicographic order
@@ -375,7 +391,7 @@ def projective_basis(gf, m, d):
         trail = m - lead
         for a in range(max(1, d - trail * (q - 1)), d + 1):
             for rest in _bounded_comps(d - a, trail, q - 1):
-                out.append((0,) * lead + (a,) + rest)
+                out.append(_intern((0,) * lead + (a,) + rest))
     return tuple(out)
 
 
@@ -392,7 +408,7 @@ def affine_basis(gf, m, d):
     out = []
     for t in range(min(d, m * (q - 1)) + 1):
         for exps in _bounded_comps(t, m, q - 1):
-            out.append((0,) + exps)
+            out.append(_intern((0,) + exps))
     return tuple(out)
 
 

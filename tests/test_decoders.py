@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from prmcodes.codes import (PRM, RM, CodeSpec, code_params, encode,
                             generator_matrix)
 from prmcodes.decoders import (AffineDecoders, DecodeResult,
-                               EnumerationBoundError, _syndrome_table,
+                               EnumerationBoundError, _route, _syndrome_table,
                                check_error_pattern, decode_exhaustive,
                                decode_prm, decode_prm_robust,
                                decode_rs_affine, exhaustive_decoders, weight)
@@ -260,13 +260,39 @@ def test_syndrome_table_matches_per_pattern_build(q, m, d):
 def test_syndrome_keys_unique_across_classes(q, m, d):
     # two patterns of weight <= T with one syndrome would differ by a
     # codeword of weight <= 2T < wt, so no key repeats in or across classes;
-    # RM(2,3)/GF(5) is the plane-t0 table, T = 4 and 3.39M patterns
+    # RM(2,3)/GF(5) is the plane-t0 table, T = 4, of which classes 1-3 are
+    # stored: 152,100 patterns
     spec = spec_of(RM, q, m, d)
     assert code_params(spec).T >= 2
     classes = _syndrome_table(spec)[2]
     keys = np.concatenate([c[0] for c in classes])
     assert len(np.unique(keys)) == len(keys)
     assert all((np.diff(c[0]) > 0).all() for c in classes)
+
+
+@pytest.mark.parametrize("q,m,d", [(5, 2, 3), (7, 2, 6), (4, 3, 5)])
+def test_split_syndrome_table_joins_heavy_patterns(q, m, d):
+    # these tables store fewer than T classes, so a pattern heavier than the
+    # stored ones is found as a join of two stored patterns; every weight up
+    # to T decodes, and past T the decoder fails or lands within T
+    spec = spec_of(RM, q, m, d)
+    gf, p = spec.gf, code_params(spec)
+    work_cw, work_err = _route(spec)[2:]
+    assert work_err is not None and work_err < work_cw  # the syndrome route
+    assert len(_syndrome_table(spec)[2]) < p.T
+    rng = np.random.default_rng(q)
+    for w in range(p.T + 2):
+        for _ in range(6):
+            cw, _ = encode(spec, rng.integers(0, q, size=p.k))
+            r = gf.add(cw, random_error(gf, rng, p.n, w))
+            out = decode_exhaustive(spec, r)
+            if w <= p.T:
+                assert out.ok and np.array_equal(out.codeword, cw)
+            elif not out.ok:
+                assert out.failure == "BeyondRadius"
+                continue
+            assert weight(gf.sub(r, out.codeword)) <= p.T
+            assert np.array_equal(eval_affine(out.witness, m), out.codeword)
 
 
 # --- Berlekamp-Welch ---
