@@ -100,10 +100,8 @@ def _trace(trace, **event):
 
 def _poly(gf, m, mons, vec):
     # the Poly in m+1 variables with coefficient vector vec over mons, which
-    # are interned basis monomials, so the terms need no checks
-    nz = np.flatnonzero(vec)
-    return Poly._of_terms(gf, m + 1, dict(zip([mons[i] for i in nz.tolist()],
-                                              vec[nz].tolist())))
+    # are interned basis monomials
+    return Poly._of_vector(gf, m + 1, mons, vec)
 
 
 def _with_poly(spec, out):

@@ -17,7 +17,10 @@ The recursive decoder does not build Polys as it goes: its witnesses are
 coefficient vectors over the monomial bases below, and the ring maps act on
 them as cached index arrays (`_homogenize_map` and its siblings), which the
 tests hold to the Poly maps here.  A vector over a basis evaluates as a
-`linalg.vec_mat` with the matrix of the basis monomials' values.
+`linalg.vec_mat` with the matrix of the basis monomials' values.  The witness
+Poly a decoder returns keeps that vector, packed one or two bytes an element,
+and builds its terms dict the first time `terms` is read, so a caller that
+keeps many results and never reads their witnesses holds no dict per result.
 """
 
 import re
@@ -37,6 +40,11 @@ def _intern(exps):
     return _MONOMIALS.setdefault(exps, exps)
 
 
+def _packed_dtype(q):
+    # the narrowest unsigned dtype that holds every element of GF(q)
+    return np.uint8 if q <= 256 else np.uint16
+
+
 class Poly:
     """Sparse polynomial: map from exponent tuple to nonzero coefficient.
 
@@ -44,7 +52,7 @@ class Poly:
     merges duplicates with field addition, dropping zeros.
     """
 
-    __slots__ = ("gf", "nvars", "terms")
+    __slots__ = ("gf", "nvars", "_terms", "_basis")
 
     def __init__(self, gf, nvars, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
@@ -65,16 +73,30 @@ class Poly:
                 acc.pop(exps, None)
         self.gf = gf
         self.nvars = nvars
-        self.terms = acc
+        self._terms = acc
+        self._basis = None
 
     @classmethod
-    def _of_terms(cls, gf, nvars, terms):
-        # a Poly holding the dict `terms` as is, for callers whose keys are
-        # interned exponent tuples of length nvars and whose values are
-        # nonzero int field elements; the constructor checks all of that
+    def _of_vector(cls, gf, nvars, mons, vec):
+        # the Poly with coefficient vector vec over mons, a basis of interned
+        # exponent tuples of length nvars, so the terms need no checks.  It
+        # holds vec as a byte string until its terms are first read: a decode
+        # result that is only kept costs tens of bytes, not a dict per term
         f = object.__new__(cls)
-        f.gf, f.nvars, f.terms = gf, nvars, terms
+        f.gf, f.nvars, f._basis = gf, nvars, mons
+        f._terms = np.asarray(vec).astype(_packed_dtype(gf.q)).tobytes()
         return f
+
+    @property
+    def terms(self):
+        """Map from exponent tuple to nonzero coefficient."""
+        terms = self._terms
+        if type(terms) is bytes:
+            vec = np.frombuffer(terms, dtype=_packed_dtype(self.gf.q))
+            nz = np.flatnonzero(vec)
+            terms = dict(zip([self._basis[i] for i in nz.tolist()], vec[nz].tolist()))
+            self._terms = terms
+        return terms
 
     # -- constructors --------------------------------------------------------
 

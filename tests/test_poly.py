@@ -341,6 +341,23 @@ def test_shared_tuples_keep_huge_exponents():
     assert np.array_equal(eval_projective(lifted, 1), eval_projective(f, 1))
 
 
+@pytest.mark.parametrize("q", [5, 128, 251, 257, 65521])
+def test_poly_over_basis_vector_matches_public_poly(q):
+    # the decoders' witnesses hold a coefficient vector until their terms are
+    # read; below and above q = 256 it packs into one and two bytes an element
+    gf = GF.from_order(q)
+    mons = projective_basis(gf, 2, 3)
+    vec = np.random.default_rng(q).integers(0, q, size=len(mons))
+    vec[[0, -1]] = 0, q - 1
+    public = Poly(gf, 3, zip(mons, vec.tolist()))
+    packed = Poly._of_vector(gf, 3, mons, vec.astype(np.int32))
+    assert packed == public and hash(packed) == hash(public)
+    assert list(packed.terms.items()) == list(public.terms.items())
+    assert all(a is b for a, b in zip(packed.terms, public.terms))
+    assert packed.terms is packed.terms
+    assert str(packed) == str(public)
+
+
 # --- monomial bases ---
 
 def _affine_count(q, m, d):
