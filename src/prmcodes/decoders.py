@@ -17,9 +17,10 @@ basis (affine_basis for the affine engines, projective_basis for a level's
 result).  The library's engines hand over the vector they compute; a
 registered engine's Poly is converted once, at the registry.  Homogenizing,
 embedding, lifting, reducing and splitting are index arrays on those vectors
-and evaluation is a vec_mat with the basis evaluation matrix.  A Poly is
-built once per successful decode, for the returned witness, and for trace
-events only when a trace list is passed.
+and evaluation is a vec_mat with the basis evaluation matrix.  A success
+returned by a library entry point keeps only its witness vector, packed in
+a byte string, and evaluates the codeword on each read; a Poly is built on
+first witness read, and for trace events only when a trace list is passed.
 
 `decode_prm` propagates an unsolvable base-case interpolation as a hard
 Inconsistent failure; `decode_prm_robust` converts every such condition into
@@ -38,12 +39,13 @@ import numpy as np
 
 from . import linalg
 from .codes import (PRM, RM, CodeSpec, NotInCodeError, _coefficients,
-                    _eval_matrix, basis_monomials, code_params, eta,
-                    generator_matrix, prm_weight, replicate_scaled)
+                    _eval_matrix, code_params, eta, generator_matrix,
+                    prm_weight, replicate_scaled)
 from .geometry import num_projective_points
 from .gf import DTYPE
-from .poly import (Poly, _embed_map, _homogenize_map, _lift_map, _reduce_map,
-                   _split_map, affine_basis, embed_poly, projective_basis)
+from .poly import (Poly, _embed_map, _homogenize_map, _lift_map,
+                   _packed_dtype, _reduce_map, _split_map, affine_basis,
+                   embed_poly, projective_basis)
 
 BEYOND_RADIUS = "BeyondRadius"
 NOT_IN_CODE = "NotInCode"
@@ -67,6 +69,18 @@ _FAILURES = {}  # failure kind -> its one shared DecodeResult
 
 @dataclass(frozen=True, slots=True)
 class DecodeResult:
+    """A decoded codeword and its witness Poly, or a failure kind.
+
+    A success returned by decode_prm, decode_prm_robust, decode_exhaustive,
+    decode_rs_affine or a default engine keeps one byte string, the witness
+    coefficient vector over the basis, one byte an element (two above
+    q = 256), next to a (gf, m, basis, evaluation matrix) tuple that all
+    results of its code share.  Reading codeword evaluates that vector, one
+    vec_mat, into a fresh array in the field dtype every time; reading
+    witness builds its Poly once and keeps it.  Two such results are equal
+    when their code and bytes are.  A result made by `success`, as a
+    registered engine makes it, holds its codeword and witness as given.
+    """
     codeword: object
     witness: object
     failure: str | None = None
@@ -88,6 +102,48 @@ class DecodeResult:
         return out
 
 
+class _Packed(DecodeResult):
+    # a packed success (see DecodeResult); its properties shadow the
+    # codeword and witness slots, which stay empty
+    __slots__ = ("_code", "_packed", "_poly")
+
+    def __init__(self, code, packed):
+        object.__setattr__(self, "failure", None)
+        object.__setattr__(self, "_code", code)
+        object.__setattr__(self, "_packed", packed)
+        object.__setattr__(self, "_poly", None)
+
+    def _vector(self):
+        return np.frombuffer(self._packed, dtype=_packed_dtype(self._code[0].q))
+
+    @property
+    def codeword(self):
+        gf, _, _, g = self._code
+        return linalg.vec_mat(gf, self._vector(), g)
+
+    @property
+    def witness(self):
+        if self._poly is None:
+            gf, m, mons, _ = self._code
+            object.__setattr__(self, "_poly", _poly(gf, m, mons, self._vector()))
+        return self._poly
+
+    def __eq__(self, other):
+        if type(other) is not _Packed:
+            return NotImplemented
+        return self._packed == other._packed and self._code[:3] == other._code[:3]
+
+    def __hash__(self):
+        return hash((self._code[:3], self._packed))
+
+    def __repr__(self):
+        return (f"DecodeResult(codeword={self.codeword!r}, "
+                f"witness={self.witness!r}, failure=None)")
+
+    def __reduce__(self):
+        return _Packed, (self._code, self._packed)
+
+
 def weight(vec):
     """Hamming weight."""
     return int(np.count_nonzero(np.asarray(vec)))
@@ -104,12 +160,18 @@ def _poly(gf, m, mons, vec):
     return Poly._of_vector(gf, m + 1, mons, vec)
 
 
-def _with_poly(spec, out):
-    # an engine result whose witness vector becomes a Poly over the basis
+@lru_cache(maxsize=None)
+def _code_key(spec):
+    # (gf, m, basis, evaluation matrix), shared by the packed results of spec
+    return (spec.gf, spec.m) + _eval_matrix(spec.gf, spec.family, spec.m, spec.d)
+
+
+def _pack(spec, out):
+    # a result of spec whose witness is a vector over the basis, packed
     if not out.ok:
         return out
-    return DecodeResult.success(
-        out.codeword, _poly(spec.gf, spec.m, basis_monomials(spec), out.witness))
+    packed = out.witness.astype(_packed_dtype(spec.gf.q)).tobytes()
+    return _Packed(_code_key(spec), packed)
 
 
 # --- exhaustive bounded-distance decoding (the oracle) ---
@@ -290,7 +352,7 @@ def decode_exhaustive(spec, r, bound=None):
     leaves the syndrome of a stored pattern of weight h.  The route and the
     bound are still costed on the count of all patterns of weight <= T.
     """
-    return _with_poly(spec, _exhaustive(spec, r, bound))
+    return _pack(spec, _exhaustive(spec, r, bound))
 
 
 @lru_cache(maxsize=None)
@@ -340,20 +402,75 @@ def _exhaustive(spec, r, bound=None):
 # --- Reed-Solomon decoding for the m = 1 affine codes ---
 
 def decode_rs_affine(spec, r):
-    """Berlekamp-Welch for RM(1, d) = RS over the q affine points.
+    """Gao's decoder for RM(1, d) = RS over the q affine points.
 
-    Solves Q(x_i) = r_i E(x_i) with deg Q <= d + T, E monic of degree
-    T = floor((q-d-1)/2), on the rows of the cached evaluation matrix of
-    RM(1, q-1), whose row j is x^j at the points.  When wt(e) <= T every
-    solution has Q = fE, so the locator E vanishes at every error and r
-    agrees with f wherever E does not vanish, at q - T >= d + 1 + T points.
-    Instead of dividing Q by E, f is interpolated from r on the first d + 1
-    of those points, treating the roots of E as erasures; E has at most T
-    roots, so that square Vandermonde system always exists and is solvable
-    whatever r is.  A final residual check wt(r - f) <= T makes the
-    behavior strictly bounded-distance, mirroring decode_exhaustive.
+    Over all of F_q, r interpolates to R(x) = sum_a r(a)(1 - (x - a)^(q-1)),
+    whose x^j coefficient is r(0) for j = 0 and -sum_a r(a) a^(q-1-j) for
+    j >= 1: one vec_mat with the reversed rows of the cached RM(1, q-1)
+    evaluation matrix, whose row j is x^j at the points.  The extended
+    Euclidean algorithm on (x^q - x, R) runs until its remainder g has
+    degree below (q + d + 1)/2, with g = u(x^q - x) + vR.  When
+    wt(e) <= T = floor((q-d-1)/2), g = fv for the sent f (S. Gao, "A new
+    algorithm for decoding Reed-Solomon codes", 2003), so f = g / v; a
+    division with a remainder, or a quotient of degree above d, is
+    BeyondRadius.  A final residual check wt(r - f) <= T makes the behavior
+    strictly bounded-distance, mirroring decode_exhaustive.
     """
-    return _with_poly(spec, _rs_affine(spec, r))
+    return _pack(spec, _rs_affine(spec, r))
+
+
+def _interpolate_line(gf, r):
+    # the coefficients, lowest degree first, of R with R(a) = r(a) at the q
+    # affine points a of the line (see decode_rs_affine)
+    v = _eval_matrix(gf, RM, 1, gf.q - 1)[1]  # row j: x^j at the points
+    out = gf.neg(linalg.vec_mat(gf, r, v[::-1].T))
+    out[0] = r[-1]  # the points are xi^0, ..., xi^(q-2), then 0
+    return out
+
+
+def _degree(a):
+    # degree of the coefficient array a, lowest degree first; -1 for zero
+    nz = np.flatnonzero(a)
+    return int(nz[-1]) if len(nz) else -1
+
+
+def _partial_euclid(gf, a, b, stop):
+    # the first remainder g of Euclid on (a, b) with 2 deg g < stop, and v
+    # with g = ua + vb; a and b are overwritten.  Each step cancels the
+    # leading term of the higher remainder with a shifted multiple of the
+    # lower one, and does the same to va and vb, their cofactors of b
+    va, vb = gf.zeros(len(a)), gf.zeros(len(a))
+    vb[0] = 1
+    da, db = _degree(a), _degree(b)
+    while 2 * db >= stop:
+        inv = gf.inv(int(b[db]))
+        while da >= db:
+            s = da - db
+            c = gf.mul(int(a[da]), inv)
+            a[s:da + 1] = gf.sub(a[s:da + 1], gf.mul(c, b[:db + 1]))
+            va[s:] = gf.sub(va[s:], gf.mul(c, vb[:len(vb) - s]))
+            da -= 1
+            while da >= 0 and not a[da]:
+                da -= 1
+        a, b, da, db, va, vb = b, a, db, da, vb, va
+    return b[:db + 1], vb
+
+
+def _quotient(gf, g, v, d):
+    # g / v as a coefficient array of length d + 1, or None when v does not
+    # divide g or the quotient has degree above d
+    dg, dv = len(g) - 1, _degree(v)
+    if dg - dv > d:
+        return None
+    f = gf.zeros(d + 1)
+    g, v = g.copy(), v[:dv + 1]
+    inv = gf.inv(int(v[dv]))
+    for s in range(dg - dv, -1, -1):
+        c = gf.mul(int(g[s + dv]), inv)
+        if c:
+            f[s] = c
+            g[s:s + dv + 1] = gf.sub(g[s:s + dv + 1], gf.mul(c, v))
+    return None if g.any() else f
 
 
 def _rs_affine(spec, r):
@@ -368,16 +485,14 @@ def _rs_affine(spec, r):
     d, cap_t = spec.d, params.T
     if cap_t == 0:
         return _decode_member(spec, r)
-    v = generator_matrix(CodeSpec(RM, gf, 1, gf.q - 1))  # row j: x^j at the points
-    qcols = d + cap_t + 1
-    mat = np.hstack([v[:qcols].T, gf.neg(gf.mul(r[:, None], v[:cap_t].T))])
-    sol = linalg.solve(gf, mat, gf.mul(r, v[cap_t]))
-    if sol is None:
+    q = gf.q
+    field = gf.zeros(q + 1)  # x^q - x
+    field[q], field[1] = 1, gf.neg(1)
+    g, v = _partial_euclid(gf, field, _interpolate_line(gf, r), q + d + 1)
+    f = _quotient(gf, g, v, d)
+    if f is None:
         return DecodeResult.fail(BEYOND_RADIUS)
-    locator = linalg.vec_mat(gf, np.append(sol[qcols:], 1), v[:cap_t + 1])
-    keep = np.flatnonzero(locator)[:d + 1]
-    f = linalg.solve(gf, v[:d + 1, keep].T, r[keep])
-    cw = linalg.vec_mat(gf, f, v[:d + 1])
+    cw = linalg.vec_mat(gf, f, generator_matrix(spec))
     if weight(gf.sub(r, cw)) > cap_t:
         return DecodeResult.fail(BEYOND_RADIUS)
     return DecodeResult.success(cw, f)  # f[j] is the coefficient of x^j
@@ -386,7 +501,7 @@ def _rs_affine(spec, r):
 # --- the pluggable affine-decoder registry ---
 
 def _default_affine(spec, r):
-    return _with_poly(spec, _default_vector(spec, r))
+    return _pack(spec, _default_vector(spec, r))
 
 
 def _default_vector(spec, r):
@@ -421,7 +536,7 @@ def _witness_vector(spec, f):
 class AffineDecoders:
     """Maps (m, d) to an affine decoder; unknown keys use the default.
 
-    The default runs Berlekamp-Welch for m = 1 and the exhaustive decoder
+    The default runs Gao's decoder for m = 1 and the exhaustive decoder
     otherwise.  Register alternatives to swap in faster engines per level.
     The recursion reads each witness as its coefficient vector over the
     RM(m, d) basis: the library's engines hand that vector over directly, a
@@ -604,11 +719,10 @@ def _decode_entry(gf, m, d, r, decoders, strict, trace):
     out = _decode_level(gf, m, d, r, decoders or AffineDecoders(), strict, trace)
     if not out.ok:
         return out
-    # the one Poly of a decode, built once the witness vector checks out
-    mons, g = _eval_matrix(gf, PRM, m, d)
+    g = _eval_matrix(gf, PRM, m, d)[1]
     if not np.array_equal(linalg.vec_mat(gf, out.witness, g), out.codeword):
         raise AssertionError("witness does not evaluate to the codeword")
-    return DecodeResult.success(out.codeword, _poly(gf, m, mons, out.witness))
+    return _pack(CodeSpec(PRM, gf, m, d), out)
 
 
 def decode_prm(gf, m, d, r, decoders=None, trace=None):

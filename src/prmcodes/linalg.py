@@ -1,11 +1,12 @@
 """Dense linear algebra over GF(q).
 
 Matrices are 2-d numpy arrays of element encodings.  Everything here is
-Gaussian elimination driven by the field's table arithmetic, plus the one
-vector-matrix product.  Elimination loops over pivots in Python and updates
-all rows of a pivot step at once; the product is a single array operation,
-an int64 matmul mod p on prime fields and one table gather plus a field sum
-on extension fields.  Polynomials live elsewhere, as
+Gaussian elimination driven by the field's table arithmetic (reduced row
+echelon form, rank and kernel, which interpolation and the syndrome table
+use), plus the one vector-matrix product.  Elimination loops over pivots in
+Python and updates all rows of a pivot step at once; the product is a single
+array operation, an int64 matmul mod p on prime fields and one table gather
+plus a field sum on extension fields.  Polynomials live elsewhere, as
 `poly.Poly` or as coefficient vectors over a basis whose evaluations are the
 rows of a matrix, so evaluating one is a `vec_mat` with that matrix.
 """
@@ -43,19 +44,6 @@ def row_reduce(gf, mat):
 
 def rank(gf, mat):
     return len(row_reduce(gf, mat)[1])
-
-
-def solve(gf, mat, rhs):
-    """One solution x of mat @ x = rhs (free variables 0), or None."""
-    a = np.asarray(mat, dtype=DTYPE)
-    b = np.asarray(rhs, dtype=DTYPE).reshape(-1, 1)
-    aug, pivots = row_reduce(gf, np.hstack([a, b]))
-    if a.shape[1] in pivots:
-        return None
-    x = gf.zeros(a.shape[1])
-    for i, c in enumerate(pivots):
-        x[c] = aug[i, -1]
-    return x
 
 
 def kernel(gf, mat):

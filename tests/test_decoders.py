@@ -1,8 +1,11 @@
 """Decoders: the exhaustive oracle against an in-test nearest-codeword scan,
-Berlekamp-Welch against the oracle, and the recursive projective decoders
-against goldens, the oracle, and their guaranteed radii."""
+Gao's Reed-Solomon decoder against the oracle, the recursive projective
+decoders against goldens, the oracle, and their guaranteed radii, and the
+packed results the entry points return."""
 
 import itertools
+import pickle
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -10,15 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prmcodes.codes import (PRM, RM, CodeSpec, code_params, encode,
-                            generator_matrix)
+from prmcodes.codes import (PRM, RM, CodeSpec, _eval_matrix, code_params,
+                            encode, generator_matrix, interpolate)
 from prmcodes.decoders import (AffineDecoders, DecodeResult,
-                               EnumerationBoundError, _route, _syndrome_table,
+                               EnumerationBoundError, _interpolate_line,
+                               _route, _syndrome_table,
                                check_error_pattern, decode_exhaustive,
                                decode_prm, decode_prm_robust,
                                decode_rs_affine, exhaustive_decoders, weight)
-from prmcodes.gf import GF
-from prmcodes.linalg import kernel
+from prmcodes.gf import DTYPE, GF
+from prmcodes.linalg import kernel, vec_mat
 from prmcodes.poly import Poly, eval_affine, eval_projective, parse_poly
 
 EX_R = [3, 2, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1]
@@ -295,7 +299,7 @@ def test_split_syndrome_table_joins_heavy_patterns(q, m, d):
             assert np.array_equal(eval_affine(out.witness, m), out.codeword)
 
 
-# --- Berlekamp-Welch ---
+# --- Reed-Solomon (Gao's decoder) ---
 
 def test_rs_golden_single_error():
     gf = GF(2, 2)
@@ -375,6 +379,132 @@ def test_rs_rejects_wrong_spec():
         decode_rs_affine(spec_of(RM, 4, 2, 1), GF(2, 2).zeros(16))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27, 128, 521])
+def test_line_interpolation_inverts_the_evaluation_matrix(q):
+    # R = sum_a r(a)(1 - (x - a)^(q-1)) in closed form: the interpolation of
+    # every unit word evaluates back to it, so the map is the inverse of the
+    # RM(1, q-1) evaluation matrix
+    gf = GF.from_order(q)
+    v = _eval_matrix(gf, RM, 1, q - 1)[1]
+    for a in range(q):
+        unit = gf.zeros(q)
+        unit[a] = 1
+        assert np.array_equal(vec_mat(gf, _interpolate_line(gf, unit), v), unit)
+    f = gf.asarray(np.random.default_rng(q).integers(0, q, size=q))
+    assert np.array_equal(_interpolate_line(gf, vec_mat(gf, f, v)), f)
+
+
+RS_CODES = [(q, d) for q in (3, 4, 5, 7, 8, 9) for d in range(q - 2)
+            if (q - d - 1) // 2 >= 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RS_CODES), st.data())
+def test_rs_matches_exhaustive_property(code, data):
+    # kind, codeword and witness equal the oracle's at distance 0..T+2 from
+    # a random codeword, on every RM(1, d) with T >= 1 over q <= 9
+    q, d = code
+    spec = spec_of(RM, q, 1, d)
+    gf, p = spec.gf, code_params(spec)
+    msg = data.draw(st.lists(st.integers(0, gf.q - 1), min_size=p.k, max_size=p.k))
+    w = data.draw(st.integers(0, p.T + 2))
+    sup = data.draw(st.lists(st.integers(0, p.n - 1), min_size=w, max_size=w, unique=True))
+    e = gf.zeros(p.n)
+    e[sup] = data.draw(st.lists(st.integers(1, gf.q - 1), min_size=w, max_size=w))
+    r = gf.add(encode(spec, msg)[0], e)
+    gao, oracle = decode_rs_affine(spec, r), decode_exhaustive(spec, r)
+    assert gao.failure == oracle.failure
+    if gao.ok:
+        assert np.array_equal(gao.codeword, oracle.codeword)
+        assert gao.witness == oracle.witness
+        assert list(gao.witness.terms.items()) == list(oracle.witness.terms.items())
+
+
+def test_prm_line_reaches_gf521_at_t0():
+    # PRM(1,260)/GF(521), n = 522, at its full radius T0 = 130: Gao's decoder
+    # needs no linear solve, so this is a cheap decode
+    gf = GF(521)
+    spec = CodeSpec(PRM, gf, 1, 260)
+    p = code_params(spec)
+    assert p.T0 == 130
+    rng = np.random.default_rng(11)
+    cw, f = encode(spec, rng.integers(0, 521, size=p.k))
+    out = decode_prm(gf, 1, 260, gf.add(cw, random_error(gf, rng, p.n, p.T0)))
+    assert out.ok and np.array_equal(out.codeword, cw) and out.witness == f
+
+
+def test_returned_codeword_is_a_fresh_array_per_read():
+    gf = GF(3)
+    spec = CodeSpec(PRM, gf, 2, 2)
+    cw, _ = encode(spec, [1, 0, 2, 1, 0, 0])
+    for out in (decode_prm(gf, 2, 2, cw), decode_prm_robust(gf, 2, 2, cw),
+                decode_exhaustive(spec, cw)):
+        first = out.codeword
+        assert first.dtype == DTYPE and np.array_equal(first, cw)
+        first[:] = 0
+        again = out.codeword
+        assert again is not first and np.array_equal(again, cw)
+
+
+def test_returned_witness_is_built_once_in_todays_form():
+    gf = GF(2, 7)
+    line, chart = CodeSpec(PRM, gf, 1, 63), CodeSpec(RM, gf, 1, 63)
+    plane = CodeSpec(RM, GF(5), 2, 3)
+    for spec, decode in [(line, lambda r: decode_prm(gf, 1, 63, r)),
+                         (chart, lambda r: decode_rs_affine(chart, r)),
+                         (plane, lambda r: decode_exhaustive(plane, r))]:
+        p = code_params(spec)
+        rng = np.random.default_rng(2)
+        cw, _ = encode(spec, rng.integers(0, spec.gf.q, size=p.k))
+        out = decode(spec.gf.add(cw, random_error(spec.gf, rng, p.n, p.T)))
+        assert out.ok and np.array_equal(out.codeword, cw)
+        w = out.witness
+        assert out.witness is w
+        ref = interpolate(spec, out.codeword)
+        assert w == ref and hash(w) == hash(ref)
+        assert str(w) == str(ref) and list(w.terms.items()) == list(ref.terms.items())
+
+
+def test_returned_results_compare_by_content():
+    gf = GF(3)
+    spec = CodeSpec(PRM, gf, 2, 2)
+    cw, _ = encode(spec, [1, 0, 2, 1, 0, 0])
+    other, _ = encode(spec, [0, 1, 2, 1, 0, 0])
+    a, b = decode_prm(gf, 2, 2, cw), decode_prm_robust(gf, 2, 2, cw)
+    assert a is not b and a == b and hash(a) == hash(b)
+    a.witness  # the cached Poly takes no part in == or hash
+    assert a == b and hash(a) == hash(b)
+    assert a != decode_prm(gf, 2, 2, other)
+    assert a != DecodeResult.fail("BeyondRadius")
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and np.array_equal(copy.codeword, cw) and copy.witness == a.witness
+    assert repr(a).startswith("DecodeResult(codeword=array(")
+    # a registered engine's result comes back as it was made
+    made = DecodeResult.success(cw, a.witness)
+    reg = AffineDecoders().register(2, 2, lambda spec, r: made)
+    assert reg.decode(CodeSpec(RM, gf, 2, 2), gf.zeros(9)) is made
+
+
+def test_kept_line_results_stay_small():
+    # 1000 kept PRM(1,63)/GF(128) results, each a 64-coefficient witness
+    # vector of one byte an element; a result's size does not depend on the
+    # errors, so codewords keep the decodes cheap
+    gf = GF(2, 7)
+    spec = CodeSpec(PRM, gf, 1, 63)
+    p = code_params(spec)
+    rng = np.random.default_rng(9)
+    words = [encode(spec, rng.integers(0, 128, size=p.k))[0] for _ in range(20)]
+    decode_prm(gf, 1, 63, words[0])
+    tracemalloc.start()
+    try:
+        kept = [decode_prm(gf, 1, 63, words[i % 20]) for i in range(1000)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(out.ok for out in kept)
+    assert held < 400_000
+
+
 def test_failures_are_shared_per_kind():
     beyond = DecodeResult.fail("BeyondRadius")
     assert beyond is DecodeResult.fail("BeyondRadius")
@@ -426,7 +556,7 @@ def test_registry_rejects_witness_outside_the_basis():
 
 def test_exhaustive_registry_forces_oracle():
     # with the forced registry, the m = 1 path also goes through the oracle;
-    # results agree with the default Berlekamp-Welch route
+    # results agree with the default Reed-Solomon route
     gf = GF(2, 2)
     rng = np.random.default_rng(5)
     spec = CodeSpec(PRM, gf, 2, 3)
