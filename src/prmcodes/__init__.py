@@ -8,15 +8,14 @@ projective word into an affine block plus a smaller projective tail.
 from .codes import (PRM, RM, CodeParams, CodeSpec, NotInCodeError,
                     basis_monomials, code_params, encode, eta,
                     generator_matrix, interpolate, interpolate_family,
-                    prm_dimension, prm_weight, recursive_compose,
-                    replicate_scaled, rm_dimension, rm_weight)
+                    prm_dimension, prm_weight, replicate_scaled,
+                    rm_dimension, rm_weight)
 from .decoders import (AffineDecoders, DecodeResult, EnumerationBoundError,
                        check_error_pattern, decode_exhaustive, decode_prm,
                        decode_prm_robust, decode_rs_affine,
                        exhaustive_decoders, weight)
-from .geometry import (affine_array, affine_points, normalize_projective,
-                       num_projective_points, point_index, projective_array,
-                       projective_points)
+from .geometry import (affine_array, affine_points, num_projective_points,
+                       projective_array, projective_points)
 from .gf import GF
 from .poly import (Poly, affine_basis, dehomogenize, embed_poly, eval_affine,
                    eval_projective, homogenize, lift_to_degree, parse_poly,
@@ -57,16 +56,13 @@ __all__ = [
     "interpolate",
     "interpolate_family",
     "lift_to_degree",
-    "normalize_projective",
     "num_projective_points",
     "parse_poly",
-    "point_index",
     "prm_dimension",
     "prm_weight",
     "projective_array",
     "projective_basis",
     "projective_points",
-    "recursive_compose",
     "reduce_mod_affine",
     "replicate_scaled",
     "rm_dimension",

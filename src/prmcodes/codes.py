@@ -165,8 +165,6 @@ class CodeParams:
     n: int
     k: int
     wt: int
-    nu: int
-    mu: int
     eta: int | None
     T: int
     T0: int | None
@@ -180,18 +178,14 @@ def code_params(spec):
         k = rm_dimension(q, m, d)
         if k != _rm_monomial_count(q, m, d):
             raise AssertionError(f"dimension mismatch for {spec}")
-        nu, mu = divmod(d, q - 1)
-        return CodeParams(n=q ** m, k=k, wt=wt, nu=nu, mu=mu, eta=None,
-                          T=(wt - 1) // 2, T0=None)
+        return CodeParams(n=q ** m, k=k, wt=wt, eta=None, T=(wt - 1) // 2, T0=None)
     wt = prm_weight(q, m, d)
     k = prm_dimension(q, m, d)
     if k != _prm_monomial_count(q, m, d):
         raise AssertionError(f"dimension mismatch for {spec}")
-    nu, mu = divmod(d - 1, q - 1)
     et = eta(q, m, d)
-    return CodeParams(
-        n=num_projective_points(q, m), k=k, wt=wt, nu=nu, mu=mu, eta=et,
-        T=(wt - 1) // 2, T0=(et - 1) // 2)
+    return CodeParams(n=num_projective_points(q, m), k=k, wt=wt, eta=et,
+                      T=(wt - 1) // 2, T0=(et - 1) // 2)
 
 
 # --- generator matrices, encoding, interpolation ---
@@ -289,15 +283,3 @@ def replicate_scaled(gf, v, d):
     blocks.append(gf.zeros(1))
     return np.concatenate(blocks)
 
-
-def recursive_compose(gf, u, v, d):
-    """Assemble the projective codeword (u + replicate_scaled(v, d), v).
-
-    u has affine length q^m, v projective length p_{m-1}; u from RM(m, d-1)
-    and v from PRM(m-1, d) always land in PRM(m, d).
-    """
-    u = gf.asarray(u)
-    v = gf.asarray(v)
-    if len(u) != (gf.q - 1) * len(v) + 1:
-        raise ValueError(f"block lengths {len(u)}, {len(v)} are not aligned")
-    return np.concatenate([gf.add(u, replicate_scaled(gf, v, d)), v])

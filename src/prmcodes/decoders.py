@@ -44,8 +44,8 @@ from .codes import (PRM, RM, CodeSpec, NotInCodeError, _coefficients,
 from .geometry import num_projective_points
 from .gf import DTYPE
 from .poly import (Poly, _embed_map, _homogenize_map, _lift_map,
-                   _packed_dtype, _reduce_map, _split_map, affine_basis,
-                   embed_poly, projective_basis)
+                   _reduce_map, _split_map, affine_basis, embed_poly,
+                   projective_basis)
 
 BEYOND_RADIUS = "BeyondRadius"
 NOT_IN_CODE = "NotInCode"
@@ -114,7 +114,7 @@ class _Packed(DecodeResult):
         object.__setattr__(self, "_poly", None)
 
     def _vector(self):
-        return np.frombuffer(self._packed, dtype=_packed_dtype(self._code[0].q))
+        return np.frombuffer(self._packed, dtype=_narrow_dtype(self._code[0].q))
 
     @property
     def codeword(self):
@@ -166,11 +166,17 @@ def _code_key(spec):
     return (spec.gf, spec.m) + _eval_matrix(spec.gf, spec.family, spec.m, spec.d)
 
 
+def _narrow_dtype(q):
+    # the narrowest unsigned dtype that holds every element of GF(q): one byte
+    # an element up to q = 256, two above
+    return np.uint8 if q <= 256 else np.uint16
+
+
 def _pack(spec, out):
     # a result of spec whose witness is a vector over the basis, packed
     if not out.ok:
         return out
-    packed = out.witness.astype(_packed_dtype(spec.gf.q)).tobytes()
+    packed = out.witness.astype(_narrow_dtype(spec.gf.q)).tobytes()
     return _Packed(_code_key(spec), packed)
 
 
@@ -206,7 +212,7 @@ def _codebook(spec):
     while gf.q ** (len(g) - lo) > 2 ** 16:
         lo += 1
     books = (_span(gf, g[:lo], DTYPE),
-             _span(gf, g[lo:], np.min_scalar_type(gf.q - 1)))
+             _span(gf, g[lo:], _narrow_dtype(gf.q)))
     for book in books:
         book.setflags(write=False)
     return books

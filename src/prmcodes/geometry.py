@@ -68,22 +68,3 @@ def affine_array(gf, m):
     arr.setflags(write=False)
     return arr
 
-
-def normalize_projective(gf, pt):
-    """Scale a nonzero vector so its leftmost nonzero coordinate is 1."""
-    for c in pt:
-        if c != 0:
-            s = gf.inv(int(c))
-            return tuple(gf.mul(s, int(x)) for x in pt)
-    raise ValueError("the zero vector is not a projective point")
-
-
-@lru_cache(maxsize=None)
-def _projective_index_map(gf, m):
-    return {p: i for i, p in enumerate(projective_points(gf, m))}
-
-
-def point_index(gf, pt):
-    """Index of a projective point (any nonzero representative) in P^m."""
-    pt = tuple(int(c) for c in pt)
-    return _projective_index_map(gf, len(pt) - 1)[normalize_projective(gf, pt)]

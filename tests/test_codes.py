@@ -12,8 +12,8 @@ from prmcodes import linalg
 from prmcodes.codes import (PRM, RM, CodeSpec, NotInCodeError, basis_monomials,
                             code_params, encode, eta, generator_matrix,
                             interpolate, interpolate_family, prm_dimension,
-                            prm_weight, recursive_compose, replicate_scaled,
-                            rm_dimension, rm_weight)
+                            prm_weight, replicate_scaled, rm_dimension,
+                            rm_weight)
 from prmcodes.gf import GF
 from prmcodes.poly import embed_poly, eval_projective
 
@@ -284,13 +284,6 @@ def test_replicate_scaled_tail_of_plane():
 def test_replicate_scaled_zero():
     gf = GF(3)
     assert not replicate_scaled(gf, gf.zeros(4), 2).any()
-
-
-def test_recursive_compose_golden():
-    gf = GF(2, 2)
-    u = gf.asarray([1] * 16)
-    v = gf.asarray([0, 0, 0, 1, 1])
-    assert list(recursive_compose(gf, u, v, 3)) == EX_CODEWORD
 
 
 def test_recursive_split_property():

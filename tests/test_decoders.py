@@ -17,7 +17,7 @@ from prmcodes.codes import (PRM, RM, CodeSpec, _eval_matrix, code_params,
                             encode, generator_matrix, interpolate)
 from prmcodes.decoders import (AffineDecoders, DecodeResult,
                                EnumerationBoundError, _interpolate_line,
-                               _route, _syndrome_table,
+                               _pack, _route, _syndrome_table,
                                check_error_pattern, decode_exhaustive,
                                decode_prm, decode_prm_robust,
                                decode_rs_affine, exhaustive_decoders, weight)
@@ -483,6 +483,22 @@ def test_returned_results_compare_by_content():
     made = DecodeResult.success(cw, a.witness)
     reg = AffineDecoders().register(2, 2, lambda spec, r: made)
     assert reg.decode(CodeSpec(RM, gf, 2, 2), gf.zeros(9)) is made
+
+
+@pytest.mark.parametrize("q", [5, 251, 257, 65521])
+def test_packed_witness_takes_one_or_two_bytes_an_element(q):
+    # a packed success keeps its witness vector one byte an element up to
+    # q = 256 and two above, so an entry q - 1 survives on either side
+    gf = GF.from_order(q)
+    spec = CodeSpec(RM, gf, 1, 3)
+    mons, g = _eval_matrix(gf, RM, 1, 3)
+    vec = gf.asarray([q - 1, 0, 1, q - 2])
+    cw = vec_mat(gf, vec, g)
+    out = _pack(spec, DecodeResult.success(cw, vec))
+    assert out.witness == Poly(gf, 2, zip(mons, vec.tolist()))
+    assert np.array_equal(out.codeword, cw)
+    assert pickle.loads(pickle.dumps(out)) == out
+    assert len(out._packed) == len(vec) * (1 if q <= 256 else 2)
 
 
 def test_kept_line_results_stay_small():

@@ -6,8 +6,7 @@ import itertools
 import pytest
 
 from prmcodes.geometry import (affine_array, affine_points,
-                               normalize_projective, num_projective_points,
-                               point_index, projective_array,
+                               num_projective_points, projective_array,
                                projective_points)
 from prmcodes.gf import GF
 
@@ -92,25 +91,6 @@ def test_recursive_block_structure(gf, m):
         scale = gf.pow(gf.xi, s)
         fan += [tuple(gf.mul(scale, v) for v in p) for p in prev]
     assert aff == fan + [(0,) * m]
-
-
-def test_point_index_round_trip():
-    gf = GF(2, 2)
-    pts = projective_points(gf, 2)
-    for i, pt in enumerate(pts):
-        assert point_index(gf, pt) == i
-    assert point_index(gf, (1, 1, 1)) == 0
-    assert point_index(gf, (0, 0, 1)) == 20
-
-
-def test_normalize_projective():
-    gf = GF(2, 2)
-    for pt in projective_points(gf, 2):
-        for s in range(1, gf.q):
-            scaled = tuple(gf.mul(s, v) for v in pt)
-            assert normalize_projective(gf, scaled) == pt
-    with pytest.raises(ValueError):
-        normalize_projective(gf, (0, 0, 0))
 
 
 def test_arrays_match_tuples():

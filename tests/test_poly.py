@@ -343,8 +343,9 @@ def test_shared_tuples_keep_huge_exponents():
 
 @pytest.mark.parametrize("q", [5, 128, 251, 257, 65521])
 def test_poly_over_basis_vector_matches_public_poly(q):
-    # the decoders' witnesses hold a coefficient vector until their terms are
-    # read; below and above q = 256 it packs into one and two bytes an element
+    # the decoders build their witness and trace Polys from a coefficient
+    # vector over a basis, skipping the constructor's per-term checks; the
+    # result is the public Poly on either side of q = 256
     gf = GF.from_order(q)
     mons = projective_basis(gf, 2, 3)
     vec = np.random.default_rng(q).integers(0, q, size=len(mons))
