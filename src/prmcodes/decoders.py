@@ -12,6 +12,15 @@ the bounded-distance contract can be registered per (m, d):
 The projective line, the [q+1, d+1, q-d+1] code, is level m = 1 of the same
 recursion.
 
+The exhaustive engine decides its route once per code, by work per decode:
+a codeword scan costs n * q^k one-byte compares, a syndrome lookup its
+syndrome plus (n-k) int64 symbols for each stored pattern its join
+subtracts, at a measured 128 compares a symbol.  The lookup is preferred
+when fewer error patterns than codewords lie within the radius, or when it
+is cheaper and its table is no larger than the scan's codebook; either
+route runs only when its enumeration fits the bound, which is read per
+call.  Trace events of the affine engines name the engine that ran.
+
 Inside the recursion a witness is a coefficient vector over a cached monomial
 basis (affine_basis for the affine engines, projective_basis for a level's
 result).  The library's engines hand over the vector they compute; a
@@ -19,8 +28,8 @@ registered engine's Poly is converted once, at the registry.  Homogenizing,
 embedding, lifting, reducing and splitting are index arrays on those vectors
 and evaluation is a vec_mat with the basis evaluation matrix.  A success
 returned by a library entry point keeps only its witness vector, packed in
-a byte string, and evaluates the codeword on each read; a Poly is built on
-first witness read, and for trace events only when a trace list is passed.
+a byte string, and evaluates the codeword and builds a fresh witness Poly
+on each read; trace events get a Poly only when a trace list is passed.
 
 `decode_prm` propagates an unsolvable base-case interpolation as a hard
 Inconsistent failure; `decode_prm_robust` converts every such condition into
@@ -53,6 +62,11 @@ INCONSISTENT = "Inconsistent"
 
 DEFAULT_ENUM_BOUND = 2 ** 24
 _TABLE_PATTERNS = 2 ** 18  # syndrome-table size cap, unless ceil(T/2) classes hold more
+# the time of one syndrome-lookup step (an int64 syndrome symbol: divided
+# out of its key, subtracted, multiplied back, with its share of a binary
+# search) in codeword-scan steps (a uint8 compare-and-add along a contiguous
+# row): measured 25 ns against 0.16 ns, on RM(1,3)/GF(13) and RM(3,2)/GF(3)
+_LOOKUP_STEP = 128
 
 
 class EnumerationBoundError(RuntimeError):
@@ -77,9 +91,12 @@ class DecodeResult:
     q = 256), next to a (gf, m, basis, evaluation matrix) tuple that all
     results of its code share.  Reading codeword evaluates that vector, one
     vec_mat, into a fresh array in the field dtype every time; reading
-    witness builds its Poly once and keeps it.  Two such results are equal
-    when their code and bytes are.  A result made by `success`, as a
-    registered engine makes it, holds its codeword and witness as given.
+    witness builds a fresh Poly every time, so changing one changes no later
+    read.  Two such results are equal when their code and bytes are.  A
+    result made by `success`, as a registered engine makes it, holds its
+    codeword and witness as given; two of them are equal when their
+    codewords hold the same values (np.array_equal) and their witnesses and
+    failure kinds are equal.  A packed result never equals an unpacked one.
     """
     codeword: object
     witness: object
@@ -101,17 +118,38 @@ class DecodeResult:
             out = _FAILURES[kind] = cls(None, None, kind)
         return out
 
+    def __eq__(self, other):
+        if type(other) is not DecodeResult:
+            return NotImplemented
+        return (self.failure == other.failure
+                and _same(self.codeword, other.codeword)
+                and _same(self.witness, other.witness))
+
+    def __hash__(self):
+        return hash((self.failure, _hashable(self.codeword), _hashable(self.witness)))
+
+
+def _same(a, b):
+    # equality of two result fields, arrays by their values
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def _hashable(a):
+    # a result field in a form that hashes alike whenever _same holds
+    return tuple(a.tolist()) if isinstance(a, np.ndarray) else a
+
 
 class _Packed(DecodeResult):
     # a packed success (see DecodeResult); its properties shadow the
     # codeword and witness slots, which stay empty
-    __slots__ = ("_code", "_packed", "_poly")
+    __slots__ = ("_code", "_packed")
 
     def __init__(self, code, packed):
         object.__setattr__(self, "failure", None)
         object.__setattr__(self, "_code", code)
         object.__setattr__(self, "_packed", packed)
-        object.__setattr__(self, "_poly", None)
 
     def _vector(self):
         return np.frombuffer(self._packed, dtype=_narrow_dtype(self._code[0].q))
@@ -123,10 +161,8 @@ class _Packed(DecodeResult):
 
     @property
     def witness(self):
-        if self._poly is None:
-            gf, m, mons, _ = self._code
-            object.__setattr__(self, "_poly", _poly(gf, m, mons, self._vector()))
-        return self._poly
+        gf, m, mons, _ = self._code
+        return _poly(gf, m, mons, self._vector())
 
     def __eq__(self, other):
         if type(other) is not _Packed:
@@ -197,6 +233,15 @@ def _span(gf, rows, dtype):
     return words
 
 
+def _offset_rows(q, k):
+    # the leading generator rows _codebook spans as offsets: the fewest that
+    # leave at most 2^16 block words
+    lo = 0
+    while q ** (k - lo) > 2 ** 16:
+        lo += 1
+    return lo
+
+
 @lru_cache(maxsize=8)
 def _codebook(spec):
     """(offsets, block): spans of the leading and of the last generator rows.
@@ -208,9 +253,7 @@ def _codebook(spec):
     q <= 256 and two (uint16) above; the offsets stay in the field dtype.
     """
     gf, g = spec.gf, generator_matrix(spec)
-    lo = 0
-    while gf.q ** (len(g) - lo) > 2 ** 16:
-        lo += 1
+    lo = _offset_rows(gf.q, len(g))
     books = (_span(gf, g[:lo], DTYPE),
              _span(gf, g[lo:], _narrow_dtype(gf.q)))
     for book in books:
@@ -243,26 +286,33 @@ def _patterns(q, n, w):
     return (q - 1) ** w * comb(n, w)
 
 
-@lru_cache(maxsize=8)
-def _syndrome_table(spec):
-    """Sorted syndrome-key tables of the light error patterns, weights 1..h.
-
-    h is the largest weight whose classes 1..h hold at most 2^18 patterns
-    together, but never less than ceil(T/2), so a pattern of any weight W in
-    (h, T] is the sum of a stored pattern of weight W-h and one of weight h;
-    _find_pattern looks those up as a join of the two classes.
-    """
-    gf = spec.gf
-    params = code_params(spec)
-    g = generator_matrix(spec)
-    n, q, cap_t = params.n, gf.q, params.T
-    top = (cap_t + 1) // 2  # the heaviest stored weight, h
+def _stored_weights(q, n, cap_t):
+    # h, the heaviest weight the syndrome table stores: the largest weight
+    # whose classes 1..h hold at most 2^18 patterns together, but never less
+    # than ceil(T/2)
+    top = (cap_t + 1) // 2
     stored = sum(_patterns(q, n, w) for w in range(1, top + 1))
     while top < cap_t:
         stored += _patterns(q, n, top + 1)
         if stored > _TABLE_PATTERNS:
             break
         top += 1
+    return top
+
+
+@lru_cache(maxsize=8)
+def _syndrome_table(spec):
+    """Sorted syndrome-key tables of the light error patterns, weights 1..h.
+
+    h is _stored_weights, at least ceil(T/2), so a pattern of any weight W
+    in (h, T] is the sum of a stored pattern of weight W-h and one of weight
+    h; _find_pattern looks those up as a join of the two classes.
+    """
+    gf = spec.gf
+    params = code_params(spec)
+    g = generator_matrix(spec)
+    n, q = params.n, gf.q
+    top = _stored_weights(q, n, params.T)
     h = linalg.kernel(gf, g)
     rows = h.shape[0]
     powers = q ** np.arange(rows, dtype=np.int64)
@@ -340,11 +390,20 @@ def _decode_member(spec, r):
 def decode_exhaustive(spec, r, bound=None):
     """Bounded-distance decoding by brute force, radius floor((wt-1)/2).
 
-    Scans whichever is smaller: the q^k codewords, or the syndromes of all
-    error patterns within the radius.  Both scans exceeding `bound` (default
-    2^24, env PRM_ENUM_BOUND) raises EnumerationBoundError.  Valid for both
-    families; the projective decoders use it as the default affine engine
-    for m >= 2 and the tests as the ground-truth oracle.
+    Two exact routes: a scan of the q^k codewords, or a syndrome lookup
+    among the error patterns within the radius.  A route may run only when
+    its enumeration, q^k codewords or all patterns of weight <= T, fits in
+    `bound` (default 2^24, env PRM_ENUM_BOUND); when neither fits this
+    raises EnumerationBoundError.  Of the routes that fit, the lookup is
+    preferred when fewer error patterns than codewords lie within the
+    radius, or when it does less work per decode and its table holds no
+    more patterns than the scan's codebook holds words.  The scan's work is
+    n * q^k compare-and-adds of one byte; the lookup's is the syndrome's
+    n * (n-k) symbols plus (n-k) for each stored pattern the join
+    subtracts, each int64 symbol step weighted as 128 scan steps, as
+    measured.  Valid for both families; the projective decoders use it as
+    the default affine engine for m >= 2 and the tests as the ground-truth
+    oracle.
 
     The codeword scan reads a cached position-major codebook of up to 2^16
     words, one byte per symbol for q <= 256 and two above, once per span
@@ -355,54 +414,79 @@ def decode_exhaustive(spec, r, bound=None):
     most classes that fit in 2^18 patterns but at least ceil(T/2) of them.
     A heavier pattern, of weight W <= T, is found by a join: one stored
     pattern of weight W-h whose syndrome, subtracted from the received one,
-    leaves the syndrome of a stored pattern of weight h.  The route and the
-    bound are still costed on the count of all patterns of weight <= T.
+    leaves the syndrome of a stored pattern of weight h.
     """
     return _pack(spec, _exhaustive(spec, r, bound))
 
 
-@lru_cache(maxsize=None)
-def _route(spec):
-    # (n, T, codeword-scan work, pattern-scan work or None when syndrome keys
-    # would not fit in an int64) of an exhaustive decode, fixed per code
-    params = code_params(spec)
-    q, n = spec.gf.q, params.n
-    work_cw = q ** params.k
-    work_err = sum(_patterns(q, n, w) for w in range(1, params.T + 1))
-    if q ** (n - params.k) >= 2 ** 62:
-        work_err = None
-    return n, params.T, work_cw, work_err
+def _scan_route(spec, r, cap_t):
+    # the codeword-scan route of _exhaustive
+    cw = _scan_codewords(spec, r, cap_t)
+    if cw is None:
+        return DecodeResult.fail(BEYOND_RADIUS)
+    return DecodeResult.success(cw, _interpolate(spec, cw))
 
 
-def _exhaustive(spec, r, bound=None):
-    # decode_exhaustive with the witness as a coefficient vector over the basis
+def _syndrome_route(spec, r, cap_t):
+    # the syndrome-lookup route of _exhaustive
     gf = spec.gf
-    n, cap_t, work_cw, work_err = _route(spec)
-    r = gf.asarray(r)
-    if r.shape != (n,):
-        raise ValueError(f"received word length {r.shape} != n = {n}")
-    if cap_t == 0:
-        return _decode_member(spec, r)
-    bound = _enum_bound() if bound is None else bound
-    if min(w for w in (work_cw, work_err) if w is not None) > bound:
-        raise EnumerationBoundError(
-            f"{spec}: codeword scan {work_cw}, pattern scan {work_err} "
-            f"both exceed bound {bound}")
-    if work_err is None or work_cw <= work_err:
-        cw = _scan_codewords(spec, r, cap_t)
-        if cw is None:
-            return DecodeResult.fail(BEYOND_RADIUS)
-        return DecodeResult.success(cw, _interpolate(spec, cw))
     h, powers, classes = _syndrome_table(spec)
     syn = linalg.vec_mat(gf, r, h.T)
     key = int(syn.astype(np.int64) @ powers)
     if key == 0:
         return DecodeResult.success(r.copy(), _interpolate(spec, r))
-    e = _find_pattern(gf, n, cap_t, key, powers, classes)
+    e = _find_pattern(gf, len(r), cap_t, key, powers, classes)
     if e is None:
         return DecodeResult.fail(BEYOND_RADIUS)
     cw = gf.sub(r, e)
     return DecodeResult.success(cw, _interpolate(spec, cw))
+
+
+_ROUTES = {"scan": _scan_route, "syndrome": _syndrome_route}
+
+
+@lru_cache(maxsize=None)
+def _route(spec):
+    # (n, T, routes) of an exhaustive decode, fixed per code: routes holds
+    # (name, enumeration count) of each route, the preferred one first (see
+    # decode_exhaustive); a lookup needs syndrome keys that fit in an int64
+    params = code_params(spec)
+    q, n, k, cap_t = spec.gf.q, params.n, params.k, params.T
+    scan = ("scan", q ** k)
+    if q ** (n - k) >= 2 ** 62:
+        return n, cap_t, (scan,)
+    patterns = sum(_patterns(q, n, w) for w in range(1, cap_t + 1))
+    top = _stored_weights(q, n, cap_t)
+    stored = sum(_patterns(q, n, w) for w in range(1, top + 1))
+    joined = sum(_patterns(q, n, w) for w in range(1, cap_t - top + 1))
+    lo = _offset_rows(q, k)
+    cheaper = _LOOKUP_STEP * (n - k) * (n + joined) < n * q ** k
+    small = stored <= q ** lo + q ** (k - lo)
+    routes = (("syndrome", patterns), scan)
+    lookup = patterns < q ** k or (cheaper and small)
+    return n, cap_t, routes if lookup else routes[::-1]
+
+
+def _choose(spec, routes, bound):
+    # the name of the first of _route's routes whose enumeration fits bound
+    for name, count in routes:
+        if count <= bound:
+            return name
+    raise EnumerationBoundError(
+        f"{spec}: no exhaustive route within bound {bound} ("
+        + ", ".join(f"{name} enumerates {count}" for name, count in routes) + ")")
+
+
+def _exhaustive(spec, r, bound=None):
+    # decode_exhaustive with the witness as a coefficient vector over the basis
+    n, cap_t, routes = _route(spec)
+    r = spec.gf.asarray(r)
+    if r.shape != (n,):
+        raise ValueError(f"received word length {r.shape} != n = {n}")
+    if cap_t == 0:
+        return _decode_member(spec, r)
+    route = _choose(spec, routes, _enum_bound() if bound is None else bound)
+    return _ROUTES[route](spec, r, cap_t)
 
 
 # --- Reed-Solomon decoding for the m = 1 affine codes ---
@@ -573,6 +657,22 @@ class AffineDecoders:
             return out
         return DecodeResult.success(out.codeword, _witness_vector(spec, out.witness))
 
+    def _engine(self, spec):
+        # what decode runs on spec, for trace events: "scan" or "syndrome"
+        # (decode_exhaustive's route), "rs", "member" (either one at radius
+        # 0) or "registered"
+        fn = self._table.get((spec.m, spec.d), self._default)
+        if fn is _default_affine:
+            fn = decode_rs_affine if spec.m == 1 else decode_exhaustive
+        if fn is not decode_rs_affine and fn is not decode_exhaustive:
+            return "registered"
+        _, cap_t, routes = _route(spec)
+        if cap_t == 0:
+            return "member"
+        if fn is decode_rs_affine:
+            return "rs"
+        return _choose(spec, routes, _enum_bound())
+
 
 def exhaustive_decoders():
     """Registry that forces the exhaustive engine at every level."""
@@ -644,8 +744,11 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
     r1, r2 = r[:q ** m], r[q ** m:]
 
     # first part: trust the affine block
-    first = decoders._decode_vector(CodeSpec(RM, gf, m, d), r1)
-    _trace(trace, event="affine", part="first", m=m, d=d, ok=first.ok)
+    spec = CodeSpec(RM, gf, m, d)
+    first = decoders._decode_vector(spec, r1)
+    if trace is not None:
+        trace.append(dict(event="affine", part="first", m=m, d=d, ok=first.ok,
+                          engine=decoders._engine(spec)))
     if first.ok:
         f0 = first.witness
         f = None
@@ -698,13 +801,15 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
         return DecodeResult.fail(BEYOND_RADIUS)
     v = second.codeword
     vxd = replicate_scaled(gf, v, d)
-    aff = decoders._decode_vector(CodeSpec(RM, gf, m, d - 1), gf.sub(r1, vxd))
+    spec = CodeSpec(RM, gf, m, d - 1)
+    aff = decoders._decode_vector(spec, gf.sub(r1, vxd))
     if trace is not None:
         f_low = None
         if aff.ok:
             f_low = _poly(gf, m, affine_basis(gf, m, d - 1), aff.witness)
         trace.append(dict(event="affine", part="second", m=m, d=d - 1,
-                          ok=aff.ok, u=aff.codeword, f_low=f_low))
+                          ok=aff.ok, u=aff.codeword, f_low=f_low,
+                          engine=decoders._engine(spec)))
     if not aff.ok:
         return DecodeResult.fail(BEYOND_RADIUS)
     f = _scatter(gf, k, (lv.low, aff.witness), (lv.tail, second.witness))

@@ -207,6 +207,12 @@ def test_criterion_07_worked_example_end_to_end():
                  if ev["event"] == "affine" and ev.get("part") == "first")
     assert first["m"] == 2 and first["d"] == 3
     assert first["ok"] is False
+    # RM(2,3)/GF(4) has 4^10 codewords but 48 patterns within T = 1, so its
+    # syndrome is looked up; RM(2,2)/GF(4), T = 3, scans its 4096 codewords
+    assert first["engine"] == "syndrome"
+    second = next(ev for ev in trace
+                  if ev["event"] == "affine" and ev.get("part") == "second")
+    assert second["engine"] == "scan"
     print("CRITERION 7: PASS - robust decode returns the listed codeword "
           "and witness; the strict first pass rejects as narrated")
 

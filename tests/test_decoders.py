@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from prmcodes.codes import (PRM, RM, CodeSpec, _eval_matrix, code_params,
                             encode, generator_matrix, interpolate)
-from prmcodes.decoders import (AffineDecoders, DecodeResult,
-                               EnumerationBoundError, _interpolate_line,
-                               _pack, _route, _syndrome_table,
+from prmcodes.decoders import (DEFAULT_ENUM_BOUND, AffineDecoders,
+                               DecodeResult, EnumerationBoundError, _choose,
+                               _interpolate_line, _pack, _route,
+                               _scan_route, _syndrome_route, _syndrome_table,
                                check_error_pattern, decode_exhaustive,
                                decode_prm, decode_prm_robust,
                                decode_rs_affine, exhaustive_decoders, weight)
@@ -281,8 +282,7 @@ def test_split_syndrome_table_joins_heavy_patterns(q, m, d):
     # to T decodes, and past T the decoder fails or lands within T
     spec = spec_of(RM, q, m, d)
     gf, p = spec.gf, code_params(spec)
-    work_cw, work_err = _route(spec)[2:]
-    assert work_err is not None and work_err < work_cw  # the syndrome route
+    assert route_of(spec) == "syndrome"
     assert len(_syndrome_table(spec)[2]) < p.T
     rng = np.random.default_rng(q)
     for w in range(p.T + 2):
@@ -297,6 +297,100 @@ def test_split_syndrome_table_joins_heavy_patterns(q, m, d):
                 continue
             assert weight(gf.sub(r, out.codeword)) <= p.T
             assert np.array_equal(eval_affine(out.witness, m), out.codeword)
+
+
+def route_of(spec, bound=DEFAULT_ENUM_BOUND):
+    # the route decode_exhaustive takes on spec under bound
+    return _choose(spec, _route(spec)[2], bound)
+
+
+# the affine engines of the workload codes: solid-beyond's PRM(3,2)/GF(3)
+# and plane-t0's PRM(2,4)/GF(5); the first-pass RM(3,2)/GF(3) costs 27 * 59049
+# compares by scan, but 17 * (27 + 54) int64 steps, at 128 compares each, by
+# syndrome, and stores 24,858 patterns, fewer than its 59,049 codewords
+WORKLOAD_ROUTES = {(3, 3, 2): "syndrome", (3, 3, 1): "scan", (3, 2, 1): "scan",
+                   (3, 2, 2): "syndrome", (5, 2, 4): "syndrome", (5, 2, 3): "syndrome"}
+
+
+@pytest.mark.parametrize("q,m,d", sorted(WORKLOAD_ROUTES))
+def test_workload_engine_routes(q, m, d):
+    assert route_of(spec_of(RM, q, m, d)) == WORKLOAD_ROUTES[(q, m, d)]
+
+
+def test_scan_codes_stay_on_the_scan():
+    # the scan property test above covers the codeword scan only while its
+    # codes take that route
+    for code in SCAN_CODES:
+        assert route_of(spec_of(*code)) == "scan", code
+
+
+def test_route_keeps_tables_no_larger_than_the_codebook():
+    # RM(1,5)/GF(16) would join far fewer symbols than its scan compares, but
+    # its table would hold 1,917,240 patterns where the codebook holds
+    # 2^16 + 2^8 words; plane-t0's RM(2,3)/GF(5) keeps its 152,100-pattern
+    # table because fewer patterns than codewords lie within its radius
+    assert _route(spec_of(RM, 16, 1, 5))[2][0][0] == "scan"
+    assert _route(spec_of(RM, 5, 2, 3))[2][0][0] == "syndrome"
+
+
+def test_route_weighs_lookup_steps_against_scan_steps():
+    # RM(1,3)/GF(13) and RM(1,4)/GF(13) store classes 1-2 and join 11,388
+    # patterns of up to 9 syndrome symbols for 4 errors: counted one for one
+    # against 13 * 13^k scan compares the lookup looks cheaper, but each of
+    # its int64 steps takes about 150 one-byte compares, and it runs 3-20x
+    # slower than the scan; RM(3,2)/GF(3) joins 54 patterns
+    assert route_of(spec_of(RM, 13, 1, 3)) == "scan"
+    assert route_of(spec_of(RM, 13, 1, 4)) == "scan"
+    assert route_of(spec_of(RM, 3, 3, 2)) == "syndrome"
+
+
+def test_route_falls_back_within_the_bound():
+    # a route runs only when its enumeration fits the bound: RM(3,2)/GF(3)
+    # prefers the syndrome route, whose 305,658 patterns exceed a bound of
+    # 59,049 that its codebook meets; below that neither fits
+    spec = spec_of(RM, 3, 3, 2)
+    gf, p = spec.gf, code_params(spec)
+    assert _route(spec)[2] == (("syndrome", 305658), ("scan", 59049))
+    assert route_of(spec, 305658) == "syndrome"
+    assert route_of(spec, 305657) == "scan" == route_of(spec, 59049)
+    rng = np.random.default_rng(4)
+    cw, _ = encode(spec, rng.integers(0, 3, size=p.k))
+    r = gf.add(cw, random_error(gf, rng, p.n, p.T))
+    out = decode_exhaustive(spec, r, bound=59049)
+    assert out.ok and np.array_equal(out.codeword, cw)
+    with pytest.raises(EnumerationBoundError):
+        decode_exhaustive(spec, r, bound=59048)
+
+
+# codes whose scan and syndrome routes both fit under the default bound
+BOTH_ROUTES = [(RM, 3, 3, 2), (RM, 3, 2, 2), (RM, 4, 2, 2), (PRM, 4, 2, 2)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(BOTH_ROUTES), st.booleans(), st.data())
+def test_scan_and_syndrome_routes_agree(code, planted, data):
+    spec = spec_of(*code)
+    gf, p = spec.gf, code_params(spec)
+    assert all(count <= DEFAULT_ENUM_BOUND for _, count in _route(spec)[2])
+    if planted:
+        msg = data.draw(st.lists(st.integers(0, gf.q - 1), min_size=p.k, max_size=p.k))
+        w = data.draw(st.integers(0, p.T + 2))
+        sup = data.draw(st.lists(st.integers(0, p.n - 1), min_size=w, max_size=w,
+                                 unique=True))
+        e = gf.zeros(p.n)
+        e[sup] = data.draw(st.lists(st.integers(1, gf.q - 1), min_size=w, max_size=w))
+        r = gf.add(encode(spec, msg)[0], e)
+    else:
+        r = gf.asarray(data.draw(st.lists(st.integers(0, gf.q - 1), min_size=p.n,
+                                          max_size=p.n)))
+    scan, syndrome = _scan_route(spec, r, p.T), _syndrome_route(spec, r, p.T)
+    assert scan.failure == syndrome.failure
+    if scan.ok:
+        assert np.array_equal(scan.codeword, syndrome.codeword)
+        assert np.array_equal(scan.witness, syndrome.witness)
+        assert weight(gf.sub(r, scan.codeword)) <= p.T
+    else:
+        assert scan.failure == "BeyondRadius"
 
 
 # --- Reed-Solomon (Gao's decoder) ---
@@ -446,7 +540,7 @@ def test_returned_codeword_is_a_fresh_array_per_read():
         assert again is not first and np.array_equal(again, cw)
 
 
-def test_returned_witness_is_built_once_in_todays_form():
+def test_returned_witness_is_built_fresh_in_todays_form():
     gf = GF(2, 7)
     line, chart = CodeSpec(PRM, gf, 1, 63), CodeSpec(RM, gf, 1, 63)
     plane = CodeSpec(RM, GF(5), 2, 3)
@@ -459,10 +553,16 @@ def test_returned_witness_is_built_once_in_todays_form():
         out = decode(spec.gf.add(cw, random_error(spec.gf, rng, p.n, p.T)))
         assert out.ok and np.array_equal(out.codeword, cw)
         w = out.witness
-        assert out.witness is w
         ref = interpolate(spec, out.codeword)
         assert w == ref and hash(w) == hash(ref)
         assert str(w) == str(ref) and list(w.terms.items()) == list(ref.terms.items())
+        # each read is a fresh Poly, so changing one leaves the result as it was
+        again = out.witness
+        assert again is not w and again == w
+        mon = next(iter(w.terms))
+        w.terms[mon] = spec.gf.add(w.terms[mon], 1)
+        assert out.witness == ref and hash(out.witness) == hash(ref)
+        assert out == decode(cw) and hash(out) == hash(decode(cw))
 
 
 def test_returned_results_compare_by_content():
@@ -472,7 +572,7 @@ def test_returned_results_compare_by_content():
     other, _ = encode(spec, [0, 1, 2, 1, 0, 0])
     a, b = decode_prm(gf, 2, 2, cw), decode_prm_robust(gf, 2, 2, cw)
     assert a is not b and a == b and hash(a) == hash(b)
-    a.witness  # the cached Poly takes no part in == or hash
+    a.witness.terms.clear()  # a read witness takes no part in == or hash
     assert a == b and hash(a) == hash(b)
     assert a != decode_prm(gf, 2, 2, other)
     assert a != DecodeResult.fail("BeyondRadius")
@@ -483,6 +583,29 @@ def test_returned_results_compare_by_content():
     made = DecodeResult.success(cw, a.witness)
     reg = AffineDecoders().register(2, 2, lambda spec, r: made)
     assert reg.decode(CodeSpec(RM, gf, 2, 2), gf.zeros(9)) is made
+
+
+def test_unpacked_results_compare_by_value():
+    # results made by `success`, as registered engines make them, compare
+    # their codeword arrays by value and hash alike when equal
+    gf = GF(3)
+    spec = CodeSpec(PRM, gf, 2, 2)
+    cw, f = encode(spec, [1, 0, 2, 1, 0, 0])
+    other, g = encode(spec, [0, 1, 2, 1, 0, 0])
+    a, b = DecodeResult.success(cw.copy(), f), DecodeResult.success(cw.copy(), f)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != DecodeResult.success(other, f)
+    assert a != DecodeResult.success(cw.copy(), g)
+    assert a != DecodeResult.success(cw[:-1].copy(), f)
+    fail = DecodeResult.fail("BeyondRadius")
+    assert a != fail and fail != a and hash(fail) == hash(DecodeResult(None, None, "BeyondRadius"))
+    assert a != decode_prm(gf, 2, 2, cw)  # a packed result equals only packed ones
+    # the recursion's results hold vector witnesses and compare the same way
+    v = DecodeResult.success(cw.copy(), gf.asarray([1, 2]))
+    assert v == DecodeResult.success(cw.copy(), gf.asarray([1, 2]))
+    assert hash(v) == hash(DecodeResult.success(cw.copy(), gf.asarray([1, 2])))
+    assert v != DecodeResult.success(cw.copy(), gf.asarray([1, 0]))
 
 
 @pytest.mark.parametrize("q", [5, 251, 257, 65521])
@@ -825,6 +948,33 @@ def test_trace_top_level_affine_calls_bounded():
             assert out.ok
             top = [ev for ev in trace if ev["event"] == "affine" and ev["m"] == m]
             assert len(top) <= 2
+
+
+def test_trace_names_each_affine_engine():
+    # solid-beyond's PRM(3,2)/GF(3): the syndrome route at RM(3,2) and
+    # RM(2,2), the scan at RM(3,1) and RM(2,1); PRM(2,3)/GF(3) meets RM(2,3)
+    # and, past its split, RM(1,1), both of radius 0; the line PRM(1,2)/GF(5)
+    # runs Gao's decoder
+    def engines(gf, m, d, *words, **kw):
+        trace = []
+        for r in words:
+            decode_prm_robust(gf, m, d, r, trace=trace, **kw)
+        return {(ev["m"], ev["d"]): ev["engine"] for ev in trace if ev["event"] == "affine"}
+
+    gf = GF(3)
+    spec = CodeSpec(PRM, gf, 3, 2)
+    rng = np.random.default_rng(5)
+    far = [gf.add(encode(spec, rng.integers(0, 3, size=10))[0],
+                  random_error(gf, rng, 40, 8)) for _ in range(20)]
+    assert engines(gf, 3, 2, *far) == {(3, 2): "syndrome", (3, 1): "scan",
+                                       (2, 2): "syndrome", (2, 1): "scan"}
+    assert engines(gf, 2, 3, gf.zeros(13)) == {(2, 3): "member", (1, 1): "member"}
+    gf5 = GF(5)
+    assert engines(gf5, 1, 2, gf5.zeros(6)) == {(1, 2): "rs"}
+    assert engines(gf5, 1, 2, gf5.zeros(6),
+                   decoders=exhaustive_decoders()) == {(1, 2): "syndrome"}
+    spy = AffineDecoders().register(2, 1, lambda spec, r: decode_exhaustive(spec, r))
+    assert engines(gf, 3, 2, *far, decoders=spy)[(2, 1)] == "registered"
 
 
 def test_witness_always_evaluates_to_codeword():
