@@ -10,7 +10,13 @@ the bounded-distance contract can be registered per (m, d):
     of degree <= d.  Codes with wt 1 accept exactly the codewords.
 
 The projective line, the [q+1, d+1, q-d+1] code, is level m = 1 of the same
-recursion.
+recursion; its affine engine is Gao's Reed-Solomon decoder.  That decoder's
+partial Euclid keeps each remainder and its cofactor in one 2-row array, so
+a step is one table gather and an XOR on GF(2^e), and it takes the quotient
+f = g/v by evaluation: g/v off the roots of v, g'/v' on them (simple roots
+whenever the word is within the radius), then one line interpolation.  The
+residual check keeps its outcomes those of an exact division, since a
+codeword within the radius is unique (see decode_rs_affine).
 
 The exhaustive engine decides its route once per code, by work per decode:
 a codeword scan costs n * q^k one-byte compares, a syndrome lookup its
@@ -178,6 +184,12 @@ class _Packed(DecodeResult):
 
     def __reduce__(self):
         return _Packed, (self._code, self._packed)
+
+
+class _Evaluated(DecodeResult):
+    # a success of the recursion whose codeword is its witness evaluated over
+    # the code (a first-branch accept), which _decode_entry need not check
+    __slots__ = ()
 
 
 def weight(vec):
@@ -500,11 +512,21 @@ def decode_rs_affine(spec, r):
     evaluation matrix, whose row j is x^j at the points.  The extended
     Euclidean algorithm on (x^q - x, R) runs until its remainder g has
     degree below (q + d + 1)/2, with g = u(x^q - x) + vR.  When
-    wt(e) <= T = floor((q-d-1)/2), g = fv for the sent f (S. Gao, "A new
-    algorithm for decoding Reed-Solomon codes", 2003), so f = g / v; a
-    division with a remainder, or a quotient of degree above d, is
-    BeyondRadius.  A final residual check wt(r - f) <= T makes the behavior
-    strictly bounded-distance, mirroring decode_exhaustive.
+    wt(e) <= T = floor((q-d-1)/2), g = fv for the sent f and v is a multiple
+    of the error locator, prod (x - a) over the error positions (S. Gao, "A
+    new algorithm for decoding Reed-Solomon codes", 2003).
+
+    The quotient is taken by evaluation, not by division: g and v are
+    evaluated at the q points, f(a) = g(a)/v(a) off the roots of v, and on
+    a root, which is simple, f(a) = g'(a)/v'(a) with the formal derivative
+    (j a_j, j mod p), since g' = f'v + fv'.  The line interpolation of those
+    values gives f.  A root where v' vanishes, or a coefficient of f above
+    d, is BeyondRadius; the values of f are the codeword.  A final residual
+    check wt(r - f) <= T makes the behavior strictly bounded-distance,
+    mirroring decode_exhaustive.  Outcomes are those of an exact division:
+    a codeword within T is unique and, for it, v is the error locator, so
+    any word within T of a codeword yields that codeword and its f, and any
+    other word fails the residual check if not before.
     """
     return _pack(spec, _rs_affine(spec, r))
 
@@ -526,41 +548,62 @@ def _degree(a):
 
 def _partial_euclid(gf, a, b, stop):
     # the first remainder g of Euclid on (a, b) with 2 deg g < stop, and v
-    # with g = ua + vb; a and b are overwritten.  Each step cancels the
-    # leading term of the higher remainder with a shifted multiple of the
-    # lower one, and does the same to va and vb, their cofactors of b
-    va, vb = gf.zeros(len(a)), gf.zeros(len(a))
-    vb[0] = 1
-    da, db = _degree(a), _degree(b)
-    while 2 * db >= stop:
-        inv = gf.inv(int(b[db]))
-        while da >= db:
-            s = da - db
-            c = gf.mul(int(a[da]), inv)
-            a[s:da + 1] = gf.sub(a[s:da + 1], gf.mul(c, b[:db + 1]))
-            va[s:] = gf.sub(va[s:], gf.mul(c, vb[:len(vb) - s]))
-            da -= 1
-            while da >= 0 and not a[da]:
-                da -= 1
-        a, b, da, db, va, vb = b, a, db, da, vb, va
-    return b[:db + 1], vb
+    # with g = ua + vb.  Each remainder shares a 2-row array with its
+    # cofactor of b, so a step, which cancels the leading term of the higher
+    # remainder with a shifted multiple of the lower one, updates both rows
+    # at once: one gather from a row of the product table and an in-place
+    # XOR on GF(2^e), one field subtraction elsewhere
+    n = len(a)
+    hi, lo = np.zeros((2, n), dtype=DTYPE), np.zeros((2, n), dtype=DTYPE)
+    hi[0], lo[0, :len(b)], lo[1, 0] = a, b, 1
+    dh, dl = _degree(a), _degree(b)
+    xor = gf.p == 2 and gf.e > 1
+    while 2 * dl >= stop:
+        inv = gf.inv(int(lo[0, dl]))
+        while dh >= dl:
+            s = dh - dl
+            c = gf.mul(int(hi[0, dh]), inv)
+            if xor:
+                hi[:, s:] ^= gf._mul_table[c][lo[:, :n - s]]
+            else:
+                hi[:, s:] = gf.sub(hi[:, s:], gf.mul(c, lo[:, :n - s]))
+            dh -= 1
+            while dh >= 0 and not hi[0, dh]:
+                dh -= 1
+        hi, lo, dh, dl = lo, hi, dl, dh
+    return lo[0, :dl + 1], lo[1]
+
+
+def _derivative(gf, a):
+    # the formal derivative of the coefficient array a: j a_j, j taken mod p
+    return gf.mul(np.arange(1, len(a)) % gf.p, a[1:])
 
 
 def _quotient(gf, g, v, d):
-    # g / v as a coefficient array of length d + 1, or None when v does not
-    # divide g or the quotient has degree above d
-    dg, dv = len(g) - 1, _degree(v)
-    if dg - dv > d:
+    # (values at the q affine points, coefficients) of f = g / v, or None
+    # when f is no polynomial of degree <= d; exact whenever g = fv and v has
+    # simple roots, which holds for Gao's g and v within the radius
+    dv = _degree(v)
+    if len(g) - 1 - dv > d:
         return None
-    f = gf.zeros(d + 1)
-    g, v = g.copy(), v[:dv + 1]
-    inv = gf.inv(int(v[dv]))
-    for s in range(dg - dv, -1, -1):
-        c = gf.mul(int(g[s + dv]), inv)
-        if c:
-            f[s] = c
-            g[s:s + dv + 1] = gf.sub(g[s:s + dv + 1], gf.mul(c, v))
-    return None if g.any() else f
+    v = v[:dv + 1]
+    x = _eval_matrix(gf, RM, 1, gf.q - 1)[1]  # row j: x^j at the points
+    num = linalg.vec_mat(gf, g, x[:len(g)])
+    den = linalg.vec_mat(gf, v, x[:dv + 1])
+    roots = np.flatnonzero(den == 0)
+    if len(roots):
+        # on a root a of v, g' = f'v + fv' gives f(a) = g'(a) / v'(a)
+        for vals, a in ((num, _derivative(gf, g)), (den, _derivative(gf, v))):
+            vals[roots] = linalg.vec_mat(gf, a, x[:len(a), roots])
+        if not den[roots].all():
+            return None
+    # num / den in the log domain; den is nowhere zero
+    values = gf.antilog_table[(gf.log_table[num] - gf.log_table[den]) % (gf.q - 1)]
+    values[num == 0] = 0
+    f = _interpolate_line(gf, values)
+    if f[d + 1:].any():
+        return None
+    return values, f[:d + 1]
 
 
 def _rs_affine(spec, r):
@@ -579,10 +622,10 @@ def _rs_affine(spec, r):
     field = gf.zeros(q + 1)  # x^q - x
     field[q], field[1] = 1, gf.neg(1)
     g, v = _partial_euclid(gf, field, _interpolate_line(gf, r), q + d + 1)
-    f = _quotient(gf, g, v, d)
-    if f is None:
+    out = _quotient(gf, g, v, d)
+    if out is None:
         return DecodeResult.fail(BEYOND_RADIUS)
-    cw = linalg.vec_mat(gf, f, generator_matrix(spec))
+    cw, f = out  # the values of f are the codeword
     if weight(gf.sub(r, cw)) > cap_t:
         return DecodeResult.fail(BEYOND_RADIUS)
     return DecodeResult.success(cw, f)  # f[j] is the coefficient of x^j
@@ -785,7 +828,7 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
                 if trace is not None:
                     trace.append(dict(event="accept", part="first", m=m, d=d,
                                       f=_poly(gf, m, projective_basis(gf, m, d), f)))
-                return DecodeResult.success(cand, f)
+                return _Evaluated.success(cand, f)
             _trace(trace, event="reject", part="first", m=m, d=d)
 
     # second part: trust the projective tail
@@ -830,9 +873,11 @@ def _decode_entry(gf, m, d, r, decoders, strict, trace):
     out = _decode_level(gf, m, d, r, decoders or AffineDecoders(), strict, trace)
     if not out.ok:
         return out
-    g = _eval_matrix(gf, PRM, m, d)[1]
-    if not np.array_equal(linalg.vec_mat(gf, out.witness, g), out.codeword):
-        raise AssertionError("witness does not evaluate to the codeword")
+    if type(out) is not _Evaluated:
+        # assembled by the second branch or the base case: check the assembly
+        g = _eval_matrix(gf, PRM, m, d)[1]
+        if not np.array_equal(linalg.vec_mat(gf, out.witness, g), out.codeword):
+            raise AssertionError("witness does not evaluate to the codeword")
     return _pack(CodeSpec(PRM, gf, m, d), out)
 
 

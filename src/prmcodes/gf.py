@@ -14,11 +14,15 @@ primitive root mod p for prime fields.  All elements are ordered as
 
 ``add``/``sub``/``mul`` take scalars or numpy integer arrays and work
 elementwise: prime fields by integer arithmetic mod p, extension fields by
-gathers from q x q tables.  ``_sum`` adds an array down its first axis in one
-pass (an integer sum mod p, an XOR reduction for p = 2, a base-p digit sum
-otherwise).  With it, and with products taken in the log domain through the
-log/antilog tables, vector-matrix products and polynomial evaluation run
-without per-row Python loops.
+gathers from q x q tables, except that on GF(2^e) adding and subtracting
+are both the XOR of the encodings (the base-2 digits add without carry), so
+``add``/``sub``/``neg`` need no table there.  On extension fields scalars
+come back as Python ints; an XOR keeps the dtype of its array operands.
+``_sum`` adds an array down its first axis in one pass (an integer sum mod
+p, an XOR reduction for p = 2, a base-p digit sum otherwise).  With it,
+and with products taken in the log domain through the log/antilog tables,
+vector-matrix products and polynomial evaluation run without per-row
+Python loops.
 """
 
 import numpy as np
@@ -195,12 +199,13 @@ class GF:
                 digits[a] = self._digits(a)
             powers = self.p ** np.arange(self.e, dtype=np.int64)
             self._powers = powers
-            self._add_table = (
-                ((digits[:, None, :] + digits[None, :, :]) % self.p) @ powers
-            ).astype(DTYPE)
-            self._sub_table = (
-                ((digits[:, None, :] - digits[None, :, :]) % self.p) @ powers
-            ).astype(DTYPE)
+            if self.p > 2:  # GF(2^e) adds and subtracts by XOR
+                self._add_table = (
+                    ((digits[:, None, :] + digits[None, :, :]) % self.p) @ powers
+                ).astype(DTYPE)
+                self._sub_table = (
+                    ((digits[:, None, :] - digits[None, :, :]) % self.p) @ powers
+                ).astype(DTYPE)
             mul = np.zeros((q, q), dtype=DTYPE)
             nz = self.antilog_table
             idx = (self.log_table[nz][:, None] + self.log_table[nz][None, :]) % (q - 1)
@@ -213,15 +218,15 @@ class GF:
         if self.e == 1:
             return (a + b) % self.p
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return self._add_table[a, b]
-        return int(self._add_table[a, b])
+            return a ^ b if self.p == 2 else self._add_table[a, b]
+        return int(a) ^ int(b) if self.p == 2 else int(self._add_table[a, b])
 
     def sub(self, a, b):
         if self.e == 1:
             return (a - b) % self.p
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return self._sub_table[a, b]
-        return int(self._sub_table[a, b])
+            return a ^ b if self.p == 2 else self._sub_table[a, b]
+        return int(a) ^ int(b) if self.p == 2 else int(self._sub_table[a, b])
 
     def neg(self, a):
         return self.sub(0, a)

@@ -3,6 +3,7 @@ Gao's Reed-Solomon decoder against the oracle, the recursive projective
 decoders against goldens, the oracle, and their guaranteed radii, and the
 packed results the entry points return."""
 
+import hashlib
 import itertools
 import pickle
 import tracemalloc
@@ -488,30 +489,69 @@ def test_line_interpolation_inverts_the_evaluation_matrix(q):
     assert np.array_equal(_interpolate_line(gf, vec_mat(gf, f, v)), f)
 
 
-RS_CODES = [(q, d) for q in (3, 4, 5, 7, 8, 9) for d in range(q - 2)
-            if (q - d - 1) // 2 >= 1]
+# the oracle runs a route only when it enumerates at most this many words
+# or patterns, which keeps each of its decodes within milliseconds
+ORACLE_BOUND = 2 ** 21
+
+
+def oracle_fits(q, d):
+    return any(count <= ORACLE_BOUND for _, count in _route(spec_of(RM, q, 1, d))[2])
+
+
+RS_CODES = [(q, d) for q in (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27) for d in range(q - 2)
+            if (q - d - 1) // 2 >= 1 and oracle_fits(q, d)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(RS_CODES), st.data())
 def test_rs_matches_exhaustive_property(code, data):
-    # kind, codeword and witness equal the oracle's at distance 0..T+2 from
-    # a random codeword, on every RM(1, d) with T >= 1 over q <= 9
+    # kind, codeword and witness equal the oracle's on a uniform word or at
+    # distance 0..min(T+3, n) from a random codeword, on every RM(1, d) with
+    # T >= 1 over q <= 27 whose oracle fits ORACLE_BOUND.  Past T, Gao's
+    # quotient meets roots where v' vanishes and quotients of degree above d,
+    # on prime fields and on extension fields of both characteristics
     q, d = code
     spec = spec_of(RM, q, 1, d)
     gf, p = spec.gf, code_params(spec)
-    msg = data.draw(st.lists(st.integers(0, gf.q - 1), min_size=p.k, max_size=p.k))
-    w = data.draw(st.integers(0, p.T + 2))
-    sup = data.draw(st.lists(st.integers(0, p.n - 1), min_size=w, max_size=w, unique=True))
-    e = gf.zeros(p.n)
-    e[sup] = data.draw(st.lists(st.integers(1, gf.q - 1), min_size=w, max_size=w))
-    r = gf.add(encode(spec, msg)[0], e)
-    gao, oracle = decode_rs_affine(spec, r), decode_exhaustive(spec, r)
+    symbols = st.integers(0, gf.q - 1)
+    if data.draw(st.integers(0, 4)) == 0:
+        r = gf.asarray(data.draw(st.lists(symbols, min_size=p.n, max_size=p.n)))
+    else:
+        msg = data.draw(st.lists(symbols, min_size=p.k, max_size=p.k))
+        w = data.draw(st.integers(0, min(p.T + 3, p.n)))
+        sup = data.draw(st.lists(st.integers(0, p.n - 1), min_size=w, max_size=w,
+                                 unique=True))
+        e = gf.zeros(p.n)
+        e[sup] = data.draw(st.lists(st.integers(1, gf.q - 1), min_size=w, max_size=w))
+        r = gf.add(encode(spec, msg)[0], e)
+    gao, oracle = decode_rs_affine(spec, r), decode_exhaustive(spec, r, ORACLE_BOUND)
     assert gao.failure == oracle.failure
     if gao.ok:
         assert np.array_equal(gao.codeword, oracle.codeword)
         assert gao.witness == oracle.witness
         assert list(gao.witness.terms.items()) == list(oracle.witness.terms.items())
+
+
+def test_rs_golden_digest_gf128():
+    # 200 RM(1,63)/GF(2^7) words at weights T..T+3: the failure kinds,
+    # codewords and witness terms hash to the value of the division-based
+    # quotient this decoder had before it divided by evaluation
+    spec = spec_of(RM, 128, 1, 63)
+    gf, p = spec.gf, code_params(spec)
+    rng = np.random.default_rng(63)
+    digest = hashlib.sha256()
+    kinds = set()
+    for i in range(200):
+        cw, _ = encode(spec, rng.integers(0, 128, size=p.k))
+        out = decode_rs_affine(spec, gf.add(cw, random_error(gf, rng, p.n, p.T + i % 4)))
+        kinds.add(out.failure)
+        digest.update(repr(out.failure).encode())
+        if out.ok:
+            digest.update(out.codeword.astype("<i4").tobytes())
+            digest.update(repr([(e, int(c)) for e, c in out.witness.terms.items()]).encode())
+    assert kinds == {None, "BeyondRadius"}
+    assert digest.hexdigest() == (
+        "35a2c59aa66c9147982e2ddd9f12d08fbc932075b71a2c7e238c64ca11f02b04")
 
 
 def test_prm_line_reaches_gf521_at_t0():
@@ -691,6 +731,31 @@ def test_registry_rejects_witness_outside_the_basis():
     cw, _ = encode(spec, [1, 0, 2, 1, 0, 0])
     with pytest.raises(ValueError, match="not a reduced monomial"):
         decode_prm(gf, 2, 2, cw, decoders=AffineDecoders().register(2, 2, unreduced))
+
+
+def test_entry_checks_only_assembled_results():
+    # a first-branch accept is its own witness evaluated, so a registered
+    # engine's codeword cannot spoil it; a result the second branch
+    # assembles from a registered (m, d-1) engine is checked at the entry,
+    # and a codeword that disagrees with that engine's witness raises
+    gf = GF(3)
+    spec = CodeSpec(PRM, gf, 2, 2)
+    cw, f = encode(spec, [1, 0, 2, 1, 0, 0])
+
+    def refuse(spec, r):
+        return DecodeResult.fail("BeyondRadius")
+
+    def shifted(spec, r):
+        out = decode_exhaustive(spec, r)
+        return DecodeResult.success(gf.add(out.codeword, 1), out.witness)
+
+    for decoders in (AffineDecoders().register(2, 2, shifted),
+                     AffineDecoders().register(2, 2, refuse)):
+        out = decode_prm(gf, 2, 2, cw, decoders=decoders)
+        assert out == decode_prm(gf, 2, 2, cw) and out.witness == f
+    lying = AffineDecoders().register(2, 2, refuse).register(2, 1, shifted)
+    with pytest.raises(AssertionError, match="does not evaluate to the codeword"):
+        decode_prm(gf, 2, 2, cw, decoders=lying)
 
 
 def test_exhaustive_registry_forces_oracle():

@@ -145,14 +145,28 @@ def test_extension_add_is_digitwise(gf):
 # --- array semantics ---
 
 def test_array_ops_match_scalars():
-    for gf in (GF(3), GF(2, 2), GF(3, 2)):
+    # GF(2^e) adds and subtracts by XOR, other fields by tables or mod p; on
+    # every field scalars come back as Python ints, and on extension fields
+    # numpy scalars do too; GF(2^e) arrays keep their dtype
+    for gf in (GF(3), GF(2, 2), GF(3, 2), GF(2, 7), GF(3, 3)):
         pairs = [(a, b) for a in range(gf.q) for b in range(gf.q)]
         av = gf.asarray([a for a, _ in pairs])
         bv = gf.asarray([b for _, b in pairs])
-        assert list(gf.add(av, bv)) == [gf.add(a, b) for a, b in pairs]
-        assert list(gf.sub(av, bv)) == [gf.sub(a, b) for a, b in pairs]
-        assert list(gf.mul(av, bv)) == [gf.mul(a, b) for a, b in pairs]
-        assert list(gf.neg(av)) == [gf.neg(a) for a, _ in pairs]
+        for op in (gf.add, gf.sub, gf.mul):
+            out = op(av, bv)
+            assert out.dtype == av.dtype
+            assert out.tolist() == [op(a, b) for a, b in pairs]
+            assert all(type(op(a, b)) is int for a, b in pairs)
+            if gf.e > 1:
+                assert all(type(op(av[i], b)) is int for i, (_, b) in enumerate(pairs[:50]))
+        assert gf.neg(av).dtype == av.dtype
+        assert gf.neg(av).tolist() == [gf.neg(a) for a, _ in pairs]
+        assert all(type(gf.neg(a)) is int for a, _ in pairs)
+        if gf.p == 2:
+            narrow = av.astype(np.uint8)
+            for out in (gf.add(narrow, bv.astype(np.uint8)), gf.sub(narrow, 1),
+                        gf.neg(narrow)):
+                assert out.dtype == np.uint8
 
 
 def test_large_prime_no_overflow():
