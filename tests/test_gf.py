@@ -127,7 +127,7 @@ def test_extension_mul_against_poly_oracle(gf):
             assert gf.mul(a, b) == _poly_oracle_mul(gf.p, gf.modulus, a, b)
 
 
-@pytest.mark.parametrize("gf", [GF(2, 2), GF(3, 2)])
+@pytest.mark.parametrize("gf", [GF(2, 2), GF(3, 2), GF(2, 7), GF(3, 3)])
 def test_extension_add_is_digitwise(gf):
     p = gf.p
     for a in range(gf.q):
