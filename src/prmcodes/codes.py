@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .gf import GF
+from .gf import DTYPE, GF
 from .geometry import affine_array, num_projective_points, projective_array
 from .poly import Poly, _monomial_values, affine_basis, projective_basis
 
@@ -246,9 +246,9 @@ def _solver(gf, family, m, d):
 
 
 def _coefficients(gf, family, m, d, vec):
-    # interpolate_family's coefficient vector over the basis, without the Poly
+    # interpolate_family's coefficient vector over the basis, without the Poly;
+    # vec is an array of field elements, which the caller has checked
     g, pivots, inv = _solver(gf, family, m, d)
-    vec = gf.asarray(vec)
     if vec.shape != (g.shape[1],):
         raise ValueError(f"vector length {vec.shape} != n = {g.shape[1]}")
     msg = linalg.vec_mat(gf, vec[pivots], inv)
@@ -259,7 +259,7 @@ def _coefficients(gf, family, m, d, vec):
 
 def interpolate_family(gf, family, m, d, vec):
     """Polynomial over the canonical basis with evaluation `vec`."""
-    msg = _coefficients(gf, family, m, d, vec)
+    msg = _coefficients(gf, family, m, d, gf.asarray(vec))
     return Poly(gf, m + 1, zip(_eval_matrix(gf, family, m, d)[0], msg))
 
 
@@ -277,9 +277,21 @@ def replicate_scaled(gf, v, d):
     affine point ordering; a projective codeword v expands to the affine
     evaluation of the lift of its polynomial.
     """
-    v = gf.asarray(v)
-    q = gf.q
-    blocks = [gf.mul(gf.pow(gf.xi, s * d), v) for s in range(q - 1)]
-    blocks.append(gf.zeros(1))
-    return np.concatenate(blocks)
+    return _replicate(gf, gf.asarray(v), d)
+
+
+@lru_cache(maxsize=None)
+def _scales(gf, d):
+    # the column s^(0d), s^d, ..., s^((q-2)d), s primitive
+    col = np.array([gf.pow(gf.xi, s * d) for s in range(gf.q - 1)], dtype=DTYPE)
+    col.setflags(write=False)
+    return col[:, None]
+
+
+def _replicate(gf, v, d):
+    # replicate_scaled of an array of field elements, which the caller has
+    # checked: one broadcast product of the scales and v, then the 0
+    out = gf.zeros((gf.q - 1) * len(v) + 1)
+    out[:-1] = gf.mul(_scales(gf, d), v).ravel()
+    return out
 

@@ -37,6 +37,14 @@ returned by a library entry point keeps only its witness vector, packed in
 a byte string, and evaluates the codeword and builds a fresh witness Poly
 on each read; trace events get a Poly only when a trace list is passed.
 
+A received word is checked once, where it enters: decode_prm,
+decode_prm_robust, decode_exhaustive, decode_rs_affine and the default
+engine behind AffineDecoders.decode (like interpolate_family, encode and
+replicate_scaled in codes) read it with gf.asarray, which raises ValueError
+on a symbol outside [0, q-1].  Below them the recursion, its per-level
+constants and the vector engines trust the arrays the recursion builds
+from that word, and check only shapes.
+
 `decode_prm` propagates an unsolvable base-case interpolation as a hard
 Inconsistent failure; `decode_prm_robust` converts every such condition into
 an ordinary branch failure and keeps going, which pays off on error patterns
@@ -54,8 +62,8 @@ import numpy as np
 
 from . import linalg
 from .codes import (PRM, RM, CodeSpec, NotInCodeError, _coefficients,
-                    _eval_matrix, code_params, eta, generator_matrix,
-                    prm_weight, replicate_scaled)
+                    _eval_matrix, _replicate, code_params, eta,
+                    generator_matrix, prm_weight)
 from .geometry import num_projective_points
 from .gf import DTYPE
 from .poly import (Poly, _embed_map, _homogenize_map, _lift_map,
@@ -428,7 +436,7 @@ def decode_exhaustive(spec, r, bound=None):
     pattern of weight W-h whose syndrome, subtracted from the received one,
     leaves the syndrome of a stored pattern of weight h.
     """
-    return _pack(spec, _exhaustive(spec, r, bound))
+    return _pack(spec, _exhaustive(spec, spec.gf.asarray(r), bound))
 
 
 def _scan_route(spec, r, cap_t):
@@ -490,9 +498,9 @@ def _choose(spec, routes, bound):
 
 
 def _exhaustive(spec, r, bound=None):
-    # decode_exhaustive with the witness as a coefficient vector over the basis
+    # decode_exhaustive with the witness as a coefficient vector over the
+    # basis; r is an array of field elements, which the caller has checked
     n, cap_t, routes = _route(spec)
-    r = spec.gf.asarray(r)
     if r.shape != (n,):
         raise ValueError(f"received word length {r.shape} != n = {n}")
     if cap_t == 0:
@@ -528,7 +536,7 @@ def decode_rs_affine(spec, r):
     any word within T of a codeword yields that codeword and its f, and any
     other word fails the residual check if not before.
     """
-    return _pack(spec, _rs_affine(spec, r))
+    return _pack(spec, _rs_affine(spec, spec.gf.asarray(r)))
 
 
 def _interpolate_line(gf, r):
@@ -607,12 +615,12 @@ def _quotient(gf, g, v, d):
 
 
 def _rs_affine(spec, r):
-    # decode_rs_affine with the witness as a coefficient vector over the basis
+    # decode_rs_affine with the witness as a coefficient vector over the
+    # basis; r is an array of field elements, which the caller has checked
     gf = spec.gf
     if spec.family != RM or spec.m != 1:
         raise ValueError("decode_rs_affine handles RM specs with m = 1 only")
     params = code_params(spec)
-    r = gf.asarray(r)
     if r.shape != (params.n,):
         raise ValueError(f"received word length {r.shape} != n = {params.n}")
     d, cap_t = spec.d, params.T
@@ -634,7 +642,7 @@ def _rs_affine(spec, r):
 # --- the pluggable affine-decoder registry ---
 
 def _default_affine(spec, r):
-    return _pack(spec, _default_vector(spec, r))
+    return _pack(spec, _default_vector(spec, spec.gf.asarray(r)))
 
 
 def _default_vector(spec, r):
@@ -724,21 +732,22 @@ def exhaustive_decoders():
 
 # --- recursive projective decoding ---
 
-_Level = namedtuple("_Level", "g hom low tail top top_tail lift red")
+_Level = namedtuple("_Level", "rm rm_low g hom low tail top top_tail lift red")
 
 
 @lru_cache(maxsize=None)
 def _level(gf, m, d):
-    """Cached arrays that carry the witness vectors of recursion level (m, d).
+    """Cached specs and arrays that carry the witness vectors of level (m, d).
 
-    The level's witness is a vector over projective_basis(m, d) and g, the
-    PRM(m, d) evaluation matrix, evaluates it.  hom and low homogenize the
-    RM(m, d) and RM(m, d-1) witnesses into that basis and tail embeds the
-    PRM(m-1, d) one.  For d >= q, top holds the positions of the degree-d
-    terms of the RM(m, d) witness, top_tail their evaluations on the tail
-    P^(m-1), and lift and red carry the PRM(m-1, d-(q-1)) sub-witness into
-    projective_basis(m, d) (embed, then lift) and into affine_basis(m, d)
-    (embed, then reduce).
+    rm and rm_low are the specs of the affine codes RM(m, d) and RM(m, d-1)
+    that the level's two branches decode.  The level's witness is a vector
+    over projective_basis(m, d) and g, the PRM(m, d) evaluation matrix,
+    evaluates it.  hom and low homogenize the RM(m, d) and RM(m, d-1)
+    witnesses into that basis and tail embeds the PRM(m-1, d) one.  For
+    d >= q, top holds the positions of the degree-d terms of the RM(m, d)
+    witness, top_tail their evaluations on the tail P^(m-1), and lift and
+    red carry the PRM(m-1, d-(q-1)) sub-witness into projective_basis(m, d)
+    (embed, then lift) and into affine_basis(m, d) (embed, then reduce).
     """
     q = gf.q
     g = _eval_matrix(gf, PRM, m, d)[1]
@@ -750,7 +759,8 @@ def _level(gf, m, d):
         top_tail = g[hom[top], q ** m:]
         lift = _lift_map(gf, m, d0, d)[_embed_map(gf, m, d0)]
         red = _reduce_map(gf, m, d0, d)
-    return _Level(g, hom, _homogenize_map(gf, m, d - 1, d), _embed_map(gf, m, d),
+    return _Level(CodeSpec(RM, gf, m, d), CodeSpec(RM, gf, m, d - 1), g, hom,
+                  _homogenize_map(gf, m, d - 1, d), _embed_map(gf, m, d),
                   top, top_tail, lift, red)
 
 
@@ -787,11 +797,10 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
     r1, r2 = r[:q ** m], r[q ** m:]
 
     # first part: trust the affine block
-    spec = CodeSpec(RM, gf, m, d)
-    first = decoders._decode_vector(spec, r1)
+    first = decoders._decode_vector(lv.rm, r1)
     if trace is not None:
         trace.append(dict(event="affine", part="first", m=m, d=d, ok=first.ok,
-                          engine=decoders._engine(spec)))
+                          engine=decoders._engine(lv.rm)))
     if first.ok:
         f0 = first.witness
         f = None
@@ -843,16 +852,15 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
     if not second.ok:
         return DecodeResult.fail(BEYOND_RADIUS)
     v = second.codeword
-    vxd = replicate_scaled(gf, v, d)
-    spec = CodeSpec(RM, gf, m, d - 1)
-    aff = decoders._decode_vector(spec, gf.sub(r1, vxd))
+    vxd = _replicate(gf, v, d)
+    aff = decoders._decode_vector(lv.rm_low, gf.sub(r1, vxd))
     if trace is not None:
         f_low = None
         if aff.ok:
             f_low = _poly(gf, m, affine_basis(gf, m, d - 1), aff.witness)
         trace.append(dict(event="affine", part="second", m=m, d=d - 1,
                           ok=aff.ok, u=aff.codeword, f_low=f_low,
-                          engine=decoders._engine(spec)))
+                          engine=decoders._engine(lv.rm_low)))
     if not aff.ok:
         return DecodeResult.fail(BEYOND_RADIUS)
     f = _scatter(gf, k, (lv.low, aff.witness), (lv.tail, second.witness))

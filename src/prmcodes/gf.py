@@ -16,8 +16,9 @@ primitive root mod p for prime fields.  All elements are ordered as
 elementwise: prime fields by integer arithmetic mod p, extension fields by
 gathers from q x q tables, except that on GF(2^e) adding and subtracting
 are both the XOR of the encodings (the base-2 digits add without carry), so
-``add``/``sub``/``neg`` need no table there.  On extension fields scalars
-come back as Python ints; an XOR keeps the dtype of its array operands.
+``add``/``sub``/``neg`` need no table there.  On every field scalars, numpy
+scalars included, come back as Python ints; an XOR keeps the dtype of its
+array operands.
 ``_sum`` adds an array down its first axis in one pass (an integer sum mod
 p, an XOR reduction for p = 2, a base-p digit sum otherwise).  With it,
 and with products taken in the log domain through the log/antilog tables,
@@ -114,6 +115,9 @@ class GF:
         self.p = p
         self.e = e
         self.q = q
+        # read by every lru_cache keyed on a field; ints hash alike in every
+        # process, so a pickled field keeps a valid hash
+        self._hash = hash((p, e))
         if e == 1:
             self.xi = _smallest_primitive_root(p)
             self.modulus = ((p - self.xi) % p, 1)
@@ -215,30 +219,34 @@ class GF:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            if self.e == 1:
+                return (a + b) % self.p
             return a ^ b if self.p == 2 else self._add_table[a, b]
+        if self.e == 1:
+            return (int(a) + int(b)) % self.p
         return int(a) ^ int(b) if self.p == 2 else int(self._add_table[a, b])
 
     def sub(self, a, b):
-        if self.e == 1:
-            return (a - b) % self.p
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            if self.e == 1:
+                return (a - b) % self.p
             return a ^ b if self.p == 2 else self._sub_table[a, b]
+        if self.e == 1:
+            return (int(a) - int(b)) % self.p
         return int(a) ^ int(b) if self.p == 2 else int(self._sub_table[a, b])
 
     def neg(self, a):
         return self.sub(0, a)
 
     def mul(self, a, b):
-        if self.e == 1:
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            if self.e == 1:
                 # widen first: int32*int32 can wrap for p near 2^16
                 return (np.multiply(a, b, dtype=np.int64) % self.p).astype(DTYPE)
-            return (a * b) % self.p
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             return self._mul_table[a, b]
+        if self.e == 1:
+            return (int(a) * int(b)) % self.p
         return int(self._mul_table[a, b])
 
     def inv(self, a):
@@ -298,7 +306,7 @@ class GF:
         return isinstance(other, GF) and (self.p, self.e) == (other.p, other.e)
 
     def __hash__(self):
-        return hash((GF, self.p, self.e))
+        return self._hash
 
     def __repr__(self):
         return f"GF({self.q})" if self.e == 1 else f"GF({self.p}^{self.e})"

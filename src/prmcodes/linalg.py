@@ -5,10 +5,11 @@ Gaussian elimination driven by the field's table arithmetic (reduced row
 echelon form, rank and kernel, which interpolation and the syndrome table
 use), plus the one vector-matrix product.  Elimination loops over pivots in
 Python and updates all rows of a pivot step at once; the product is a single
-array operation, an int64 matmul mod p on prime fields and one table gather
-plus a field sum on extension fields.  Polynomials live elsewhere, as
-`poly.Poly` or as coefficient vectors over a basis whose evaluations are the
-rows of a matrix, so evaluating one is a `vec_mat` with that matrix.
+array operation, an integer matmul mod p on prime fields (int32 while no
+sum can reach 2^31, int64 above) and one table gather plus a field sum on
+extension fields.  Polynomials live elsewhere, as `poly.Poly` or as
+coefficient vectors over a basis whose evaluations are the rows of a matrix,
+so evaluating one is a `vec_mat` with that matrix.
 """
 
 import numpy as np
@@ -61,9 +62,16 @@ def kernel(gf, mat):
 
 
 def vec_mat(gf, vec, mat):
-    """vec @ mat over GF; vec is (r,), mat is (r, c)."""
+    """vec @ mat over GF; vec is (r,), mat is (r, c).
+
+    On GF(p) the product is an integer matmul reduced mod p.  It runs on the
+    int32 operands as they are whenever no sum can wrap, (p-1)^2 * r < 2^31,
+    and on int64 copies otherwise.
+    """
     mat = np.asarray(mat, dtype=DTYPE)
     if gf.e == 1:
+        if (gf.p - 1) ** 2 * len(vec) < 2 ** 31:
+            return np.asarray(vec, dtype=DTYPE) @ mat % gf.p
         # exact in int64: (p-1)^2 * r < 2^63 for p < 2^16 and r < 2^31
         prod = np.asarray(vec, dtype=np.int64) @ mat.astype(np.int64)
         return (prod % gf.p).astype(DTYPE)

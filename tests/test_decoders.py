@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prmcodes.codes import (PRM, RM, CodeSpec, _eval_matrix, code_params,
-                            encode, generator_matrix, interpolate)
+                            encode, generator_matrix, interpolate,
+                            interpolate_family, replicate_scaled)
 from prmcodes.decoders import (DEFAULT_ENUM_BOUND, AffineDecoders,
                                DecodeResult, EnumerationBoundError, _choose,
                                _interpolate_line, _pack, _route,
@@ -554,6 +555,45 @@ def test_rs_golden_digest_gf128():
         "35a2c59aa66c9147982e2ddd9f12d08fbc932075b71a2c7e238c64ca11f02b04")
 
 
+def _digest_value(x):
+    # a trace or result field as bytes that pin it exactly: a Poly by its
+    # terms in order, an array by its values and dtype
+    if isinstance(x, Poly):
+        return repr([(e, int(c)) for e, c in x.terms.items()]).encode()
+    if isinstance(x, np.ndarray):
+        return x.dtype.str.encode() + x.tobytes()
+    return repr(x).encode()
+
+
+def test_prm_golden_digest_workload_codes():
+    # the benchmark's m >= 2 codes: 200 PRM(2,4)/GF(5) words at T0 through
+    # decode_prm and 200 PRM(3,2)/GF(3) words at T through decode_prm_robust;
+    # results and trace events, engine names included, hash to the value
+    # these decoders had before the received word was validated only at the
+    # entry
+    digest = hashlib.sha256()
+    for q, m, d, decode, radius in ((5, 2, 4, decode_prm, "T0"),
+                                    (3, 3, 2, decode_prm_robust, "T")):
+        spec = spec_of(PRM, q, m, d)
+        gf, p = spec.gf, code_params(spec)
+        rng = np.random.default_rng(q * 100 + m * 10 + d)
+        for _ in range(200):
+            cw, _ = encode(spec, rng.integers(0, q, size=p.k))
+            trace = []
+            out = decode(gf, m, d, gf.add(cw, random_error(gf, rng, p.n, getattr(p, radius))),
+                         trace=trace)
+            digest.update(_digest_value(out.failure))
+            if out.ok:
+                digest.update(_digest_value(out.codeword))
+                digest.update(_digest_value(out.witness))
+            for ev in trace:
+                for key, value in ev.items():
+                    digest.update(key.encode())
+                    digest.update(_digest_value(value))
+    assert digest.hexdigest() == (
+        "3fa254f0c148eb0e7dc7afccea5d43f9dc64e55c712666d8a16f293aed3e3832")
+
+
 def test_prm_line_reaches_gf521_at_t0():
     # PRM(1,260)/GF(521), n = 522, at its full radius T0 = 130: Gao's decoder
     # needs no linear solve, so this is a cheap decode
@@ -918,6 +958,55 @@ def test_prm_input_validation():
         decode_prm(gf, 2, 5, gf.zeros(13))
     with pytest.raises(ValueError):
         decode_prm(gf, 2, 2, gf.zeros(12))
+
+
+def test_public_entries_reject_out_of_range_symbols():
+    # the recursion trusts the arrays it builds, so every public entry checks
+    # the symbols it is given: a negative one and one >= q raise ValueError
+    gf = GF(5)
+    prm, rm2, rm1 = CodeSpec(PRM, gf, 2, 4), CodeSpec(RM, gf, 2, 2), CodeSpec(RM, gf, 1, 2)
+    calls = [
+        (31, lambda r: decode_prm(gf, 2, 4, r)),
+        (31, lambda r: decode_prm_robust(gf, 2, 4, r)),
+        (25, lambda r: decode_exhaustive(rm2, r)),
+        (5, lambda r: decode_rs_affine(rm1, r)),
+        (25, lambda r: AffineDecoders().decode(rm2, r)),
+        (5, lambda r: AffineDecoders().decode(rm1, r)),
+        (25, lambda r: exhaustive_decoders().decode(rm2, r)),
+        (31, lambda r: interpolate(prm, r)),
+        (25, lambda r: interpolate_family(gf, RM, 2, 2, r)),
+        (code_params(prm).k, lambda r: encode(prm, r)),
+        (6, lambda r: replicate_scaled(gf, r, 4)),
+    ]
+    for n, call in calls:
+        call([0] * n)
+        for bad in (-1, gf.q):
+            for word in ([0] * (n - 1) + [bad], np.array([bad] + [0] * (n - 1))):
+                with pytest.raises(ValueError, match="out of range"):
+                    call(word)
+
+
+def test_decode_prm_checks_the_word_once(monkeypatch):
+    # a PRM(2,4)/GF(5) word whose first branch is rejected, so both branches,
+    # the base case and the tail's replication run on the checked word
+    gf = GF(5)
+    cw, _ = encode(CodeSpec(PRM, gf, 2, 4), [1] * 15)
+    r = cw.copy()
+    r[:3] = gf.add(r[:3], 1)
+    trace = []
+    assert np.array_equal(decode_prm(gf, 2, 4, r, trace=trace).codeword, cw)
+    assert [ev["event"] for ev in trace] == ["affine", "reject", "base", "tail",
+                                             "affine", "accept"]
+    calls = []
+    checked = GF.asarray
+
+    def counted(self, values):
+        calls.append(values)
+        return checked(self, values)
+
+    monkeypatch.setattr(GF, "asarray", counted)
+    assert np.array_equal(decode_prm(gf, 2, 4, r).codeword, cw)
+    assert len(calls) == 1 and calls[0] is r
 
 
 # --- recursive projective decoding, robust variant ---

@@ -146,9 +146,9 @@ def test_extension_add_is_digitwise(gf):
 
 def test_array_ops_match_scalars():
     # GF(2^e) adds and subtracts by XOR, other fields by tables or mod p; on
-    # every field scalars come back as Python ints, and on extension fields
-    # numpy scalars do too; GF(2^e) arrays keep their dtype
-    for gf in (GF(3), GF(2, 2), GF(3, 2), GF(2, 7), GF(3, 3)):
+    # every field scalars, numpy scalars included, come back as Python ints;
+    # GF(2^e) arrays keep their dtype
+    for gf in (GF(3), GF(5), GF(2, 2), GF(3, 2), GF(2, 7), GF(3, 3)):
         pairs = [(a, b) for a in range(gf.q) for b in range(gf.q)]
         av = gf.asarray([a for a, _ in pairs])
         bv = gf.asarray([b for _, b in pairs])
@@ -157,11 +157,13 @@ def test_array_ops_match_scalars():
             assert out.dtype == av.dtype
             assert out.tolist() == [op(a, b) for a, b in pairs]
             assert all(type(op(a, b)) is int for a, b in pairs)
-            if gf.e > 1:
-                assert all(type(op(av[i], b)) is int for i, (_, b) in enumerate(pairs[:50]))
+            for i, (a, b) in enumerate(pairs[:50]):
+                for x, y in ((av[i], b), (a, np.int64(b)), (av[i], bv[i])):
+                    assert type(op(x, y)) is int and op(x, y) == op(a, b)
         assert gf.neg(av).dtype == av.dtype
         assert gf.neg(av).tolist() == [gf.neg(a) for a, _ in pairs]
         assert all(type(gf.neg(a)) is int for a, _ in pairs)
+        assert all(type(gf.neg(a)) is int for a in av[:50])
         if gf.p == 2:
             narrow = av.astype(np.uint8)
             for out in (gf.add(narrow, bv.astype(np.uint8)), gf.sub(narrow, 1),

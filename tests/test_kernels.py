@@ -67,6 +67,21 @@ def test_vec_mat_prime_near_top(rows, cols, data):
     assert vec_mat(gf, top, np.tile(top[:, None], (1, cols))).tolist() == [rows % BIG_P] * cols
 
 
+@pytest.mark.parametrize("rows", [2, 3])
+def test_vec_mat_prime_int32_threshold(rows):
+    # (p-1)^2 * rows crosses 2^31 between 2 and 3 rows for p = 32749, so the
+    # product runs on int32 at 2 rows and on int64 at 3; all entries p-1 make
+    # the sum as large as it gets on either side
+    p = 32749
+    assert (p - 1) ** 2 * 2 < 2 ** 31 < (p - 1) ** 2 * 3
+    gf = GF(p)
+    vec = np.full(rows, p - 1, dtype=np.int32)
+    mat = np.full((rows, 3), p - 1, dtype=np.int32)
+    out = vec_mat(gf, vec, mat)
+    assert out.dtype == np.int32
+    assert out.tolist() == vec_mat_reference(gf, vec, mat) == [rows % p] * 3
+
+
 def chart_size(q):
     # largest number of chart variables whose point set stays small enough
     # for the scalar reference; GF(65521) gets its line
