@@ -45,7 +45,14 @@ def _vec(values):
 
 
 def _parse_vector(text):
-    return [int(tok) for tok in text.replace(" ", "").split(",") if tok != ""]
+    # comma-separated integers, spaces allowed around each; an empty field or
+    # a space inside one is an error, never a different word
+    fields = [field.strip() for field in text.split(",")]
+    for field in fields:
+        if field.split() != [field]:
+            raise ValueError(f"malformed vector {text!r}: each comma-separated "
+                             "field must be one integer")
+    return [int(field) for field in fields]
 
 
 def _read_vector(path):
@@ -156,6 +163,8 @@ def run_simulation(gf, m, d, error_weight, trials, seed, alg="alg1",
     """
     spec = CodeSpec(PRM, gf, m, d)
     params = code_params(spec)
+    if error_weight < 0:
+        raise ValueError(f"error weight {error_weight} is negative")
     if error_weight > params.n:
         raise ValueError(f"error weight {error_weight} exceeds n = {params.n}")
     run = decode_prm if alg == "alg1" else decode_prm_robust
@@ -192,6 +201,8 @@ def cmd_simulate(args):
 
 def cmd_ratio_table(args):
     gf = GF.from_order(args.q)
+    if args.m < 1:
+        raise ValueError("m must be >= 1")  # the error params gets from CodeSpec
     lines = ["d,eta,wt,T0,T,ratio"]
     for d in range(1, args.m * (gf.q - 1) + 1):
         p = code_params(CodeSpec(PRM, gf, args.m, d))

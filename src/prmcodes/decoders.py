@@ -18,14 +18,12 @@ whenever the word is within the radius), then one line interpolation.  The
 residual check keeps its outcomes those of an exact division, since a
 codeword within the radius is unique (see decode_rs_affine).
 
-The exhaustive engine decides its route once per code, by work per decode:
-a codeword scan costs n * q^k one-byte compares, a syndrome lookup its
-syndrome plus (n-k) int64 symbols for each stored pattern its join
-subtracts, at a measured 128 compares a symbol.  The lookup is preferred
-when fewer error patterns than codewords lie within the radius, or when it
-is cheaper and its table is no larger than the scan's codebook; either
-route runs only when its enumeration fits the bound, which is read per
-call.  Trace events of the affine engines name the engine that ran.
+Each affine call chooses its engine once.  AffineDecoders resolves every
+decoder it holds to a chooser when it is given one; at each call the
+chooser names an engine (scan, syndrome, member, rs or registered) and
+hands over its vector form, and the recursion runs that engine and names
+it in the call's trace event.  The exhaustive decoder's routes, and the
+rule that picks one, are those of decode_exhaustive.
 
 Inside the recursion a witness is a coefficient vector over a cached monomial
 basis (affine_basis for the affine engines, projective_basis for a level's
@@ -41,9 +39,9 @@ A received word is checked once, where it enters: decode_prm,
 decode_prm_robust, decode_exhaustive, decode_rs_affine and the default
 engine behind AffineDecoders.decode (like interpolate_family, encode and
 replicate_scaled in codes) read it with gf.asarray, which raises ValueError
-on a symbol outside [0, q-1].  Below them the recursion, its per-level
-constants and the vector engines trust the arrays the recursion builds
-from that word, and check only shapes.
+on a symbol outside [0, q-1], and check its length.  Below them the
+recursion, its per-level constants and the vector engines trust the arrays
+the recursion builds from that word.
 
 `decode_prm` propagates an unsolvable base-case interpolation as a hard
 Inconsistent failure; `decode_prm_robust` converts every such condition into
@@ -54,7 +52,7 @@ that overload one block but satisfy check_error_pattern.
 import os
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
 from math import comb
 
@@ -217,9 +215,9 @@ def _poly(gf, m, mons, vec):
 
 
 @lru_cache(maxsize=None)
-def _code_key(spec):
-    # (gf, m, basis, evaluation matrix), shared by the packed results of spec
-    return (spec.gf, spec.m) + _eval_matrix(spec.gf, spec.family, spec.m, spec.d)
+def _code_key(gf, family, m, d):
+    # (gf, m, basis, evaluation matrix), shared by the packed results of a code
+    return (gf, m) + _eval_matrix(gf, family, m, d)
 
 
 def _narrow_dtype(q):
@@ -228,12 +226,12 @@ def _narrow_dtype(q):
     return np.uint8 if q <= 256 else np.uint16
 
 
-def _pack(spec, out):
-    # a result of spec whose witness is a vector over the basis, packed
+def _pack(out, gf, family, m, d):
+    # a result of the code whose witness is a vector over the basis, packed
     if not out.ok:
         return out
-    packed = out.witness.astype(_narrow_dtype(spec.gf.q)).tobytes()
-    return _Packed(_code_key(spec), packed)
+    packed = out.witness.astype(_narrow_dtype(gf.q)).tobytes()
+    return _Packed(_code_key(gf, family, m, d), packed)
 
 
 # --- exhaustive bounded-distance decoding (the oracle) ---
@@ -407,23 +405,35 @@ def _decode_member(spec, r):
         return DecodeResult.fail(BEYOND_RADIUS)
 
 
+def _affine_entry(spec, r, choose, *args):
+    # a public affine decoder: check the received word r where it enters,
+    # run the engine that choose(spec, *args) picks, and pack its result
+    r = spec.gf.asarray(r)
+    n = code_params(spec).n
+    if r.shape != (n,):
+        raise ValueError(f"received word length {r.shape} != n = {n}")
+    out = choose(spec, *args)[1](spec, r)
+    return _pack(out, spec.gf, spec.family, spec.m, spec.d)
+
+
 def decode_exhaustive(spec, r, bound=None):
     """Bounded-distance decoding by brute force, radius floor((wt-1)/2).
 
-    Two exact routes: a scan of the q^k codewords, or a syndrome lookup
-    among the error patterns within the radius.  A route may run only when
-    its enumeration, q^k codewords or all patterns of weight <= T, fits in
-    `bound` (default 2^24, env PRM_ENUM_BOUND); when neither fits this
-    raises EnumerationBoundError.  Of the routes that fit, the lookup is
-    preferred when fewer error patterns than codewords lie within the
-    radius, or when it does less work per decode and its table holds no
-    more patterns than the scan's codebook holds words.  The scan's work is
-    n * q^k compare-and-adds of one byte; the lookup's is the syndrome's
-    n * (n-k) symbols plus (n-k) for each stored pattern the join
-    subtracts, each int64 symbol step weighted as 128 scan steps, as
-    measured.  Valid for both families; the projective decoders use it as
-    the default affine engine for m >= 2 and the tests as the ground-truth
-    oracle.
+    At radius 0 exactly the codewords decode, with nothing enumerated.
+    Otherwise there are two exact routes: a scan of the q^k codewords, or a
+    syndrome lookup among the error patterns within the radius.  A route
+    may run only when its enumeration, q^k codewords or all patterns of
+    weight <= T, fits in `bound` (default 2^24, env PRM_ENUM_BOUND, read on
+    every call); when neither fits this raises EnumerationBoundError.  Of
+    the routes that fit, the lookup is preferred when fewer error patterns
+    than codewords lie within the radius, or when it does less work per
+    decode and its table holds no more patterns than the scan's codebook
+    holds words.  The scan's work is n * q^k compare-and-adds of one byte;
+    the lookup's is the syndrome's n * (n-k) symbols plus (n-k) for each
+    stored pattern the join subtracts, each int64 symbol step weighted as
+    128 scan steps, as measured.  Valid for both families; the projective
+    decoders use it as the default affine engine for m >= 2 and the tests
+    as the ground-truth oracle.
 
     The codeword scan reads a cached position-major codebook of up to 2^16
     words, one byte per symbol for q <= 256 and two above, once per span
@@ -436,11 +446,11 @@ def decode_exhaustive(spec, r, bound=None):
     pattern of weight W-h whose syndrome, subtracted from the received one,
     leaves the syndrome of a stored pattern of weight h.
     """
-    return _pack(spec, _exhaustive(spec, spec.gf.asarray(r), bound))
+    return _affine_entry(spec, r, _exhaustive_engine, bound)
 
 
 def _scan_route(spec, r, cap_t):
-    # the codeword-scan route of _exhaustive
+    # the codeword-scan route of decode_exhaustive
     cw = _scan_codewords(spec, r, cap_t)
     if cw is None:
         return DecodeResult.fail(BEYOND_RADIUS)
@@ -448,7 +458,7 @@ def _scan_route(spec, r, cap_t):
 
 
 def _syndrome_route(spec, r, cap_t):
-    # the syndrome-lookup route of _exhaustive
+    # the syndrome-lookup route of decode_exhaustive
     gf = spec.gf
     h, powers, classes = _syndrome_table(spec)
     syn = linalg.vec_mat(gf, r, h.T)
@@ -462,19 +472,19 @@ def _syndrome_route(spec, r, cap_t):
     return DecodeResult.success(cw, _interpolate(spec, cw))
 
 
-_ROUTES = {"scan": _scan_route, "syndrome": _syndrome_route}
-
-
 @lru_cache(maxsize=None)
 def _route(spec):
-    # (n, T, routes) of an exhaustive decode, fixed per code: routes holds
-    # (name, enumeration count) of each route, the preferred one first (see
-    # decode_exhaustive); a lookup needs syndrome keys that fit in an int64
+    # the routes of decode_exhaustive on spec, fixed per code and preferred
+    # first: (name, enumeration count, vector engine), the engine taking
+    # (spec, r) and returning its witness as a vector over the basis; a
+    # lookup needs syndrome keys that fit in an int64
     params = code_params(spec)
     q, n, k, cap_t = spec.gf.q, params.n, params.k, params.T
-    scan = ("scan", q ** k)
+    if cap_t == 0:
+        return (("member", 0, _decode_member),)
+    scan = ("scan", q ** k, partial(_scan_route, cap_t=cap_t))
     if q ** (n - k) >= 2 ** 62:
-        return n, cap_t, (scan,)
+        return (scan,)
     patterns = sum(_patterns(q, n, w) for w in range(1, cap_t + 1))
     top = _stored_weights(q, n, cap_t)
     stored = sum(_patterns(q, n, w) for w in range(1, top + 1))
@@ -482,31 +492,23 @@ def _route(spec):
     lo = _offset_rows(q, k)
     cheaper = _LOOKUP_STEP * (n - k) * (n + joined) < n * q ** k
     small = stored <= q ** lo + q ** (k - lo)
-    routes = (("syndrome", patterns), scan)
+    routes = (("syndrome", patterns, partial(_syndrome_route, cap_t=cap_t)), scan)
     lookup = patterns < q ** k or (cheaper and small)
-    return n, cap_t, routes if lookup else routes[::-1]
+    return routes if lookup else routes[::-1]
 
 
-def _choose(spec, routes, bound):
-    # the name of the first of _route's routes whose enumeration fits bound
-    for name, count in routes:
-        if count <= bound:
-            return name
+def _exhaustive_engine(spec, bound=None):
+    # (name, vector engine) of the first of _route's routes whose enumeration
+    # fits the bound; a route that enumerates nothing fits any bound
+    if bound is None:
+        bound = _enum_bound()
+    routes = _route(spec)
+    for name, count, run in routes:
+        if count <= bound or not count:
+            return name, run
     raise EnumerationBoundError(
         f"{spec}: no exhaustive route within bound {bound} ("
-        + ", ".join(f"{name} enumerates {count}" for name, count in routes) + ")")
-
-
-def _exhaustive(spec, r, bound=None):
-    # decode_exhaustive with the witness as a coefficient vector over the
-    # basis; r is an array of field elements, which the caller has checked
-    n, cap_t, routes = _route(spec)
-    if r.shape != (n,):
-        raise ValueError(f"received word length {r.shape} != n = {n}")
-    if cap_t == 0:
-        return _decode_member(spec, r)
-    route = _choose(spec, routes, _enum_bound() if bound is None else bound)
-    return _ROUTES[route](spec, r, cap_t)
+        + ", ".join(f"{name} enumerates {count}" for name, count, _ in routes) + ")")
 
 
 # --- Reed-Solomon decoding for the m = 1 affine codes ---
@@ -534,9 +536,22 @@ def decode_rs_affine(spec, r):
     mirroring decode_exhaustive.  Outcomes are those of an exact division:
     a codeword within T is unique and, for it, v is the error locator, so
     any word within T of a codeword yields that codeword and its f, and any
-    other word fails the residual check if not before.
+    other word fails the residual check if not before.  At radius 0 exactly
+    the codewords decode.
     """
-    return _pack(spec, _rs_affine(spec, spec.gf.asarray(r)))
+    return _affine_entry(spec, r, _rs_engine)
+
+
+@lru_cache(maxsize=None)
+def _rs_engine(spec):
+    # (name, vector engine) of decode_rs_affine on spec: Gao's decoder, or
+    # membership at radius 0
+    if spec.family != RM or spec.m != 1:
+        raise ValueError("decode_rs_affine handles RM specs with m = 1 only")
+    cap_t = code_params(spec).T
+    if cap_t == 0:
+        return "member", _decode_member
+    return "rs", partial(_rs_affine, cap_t=cap_t)
 
 
 def _interpolate_line(gf, r):
@@ -614,19 +629,10 @@ def _quotient(gf, g, v, d):
     return values, f[:d + 1]
 
 
-def _rs_affine(spec, r):
-    # decode_rs_affine with the witness as a coefficient vector over the
-    # basis; r is an array of field elements, which the caller has checked
-    gf = spec.gf
-    if spec.family != RM or spec.m != 1:
-        raise ValueError("decode_rs_affine handles RM specs with m = 1 only")
-    params = code_params(spec)
-    if r.shape != (params.n,):
-        raise ValueError(f"received word length {r.shape} != n = {params.n}")
-    d, cap_t = spec.d, params.T
-    if cap_t == 0:
-        return _decode_member(spec, r)
-    q = gf.q
+def _rs_affine(spec, r, cap_t):
+    # Gao's decoder at radius cap_t >= 1 with the witness as a coefficient
+    # vector over the basis
+    gf, d, q = spec.gf, spec.d, spec.gf.q
     field = gf.zeros(q + 1)  # x^q - x
     field[q], field[1] = 1, gf.neg(1)
     g, v = _partial_euclid(gf, field, _interpolate_line(gf, r), q + d + 1)
@@ -641,19 +647,13 @@ def _rs_affine(spec, r):
 
 # --- the pluggable affine-decoder registry ---
 
+def _default_engine(spec):
+    # Gao's decoder on the line, the exhaustive decoder above it
+    return _rs_engine(spec) if spec.m == 1 else _exhaustive_engine(spec)
+
+
 def _default_affine(spec, r):
-    return _pack(spec, _default_vector(spec, spec.gf.asarray(r)))
-
-
-def _default_vector(spec, r):
-    return (_rs_affine if spec.m == 1 else _exhaustive)(spec, r)
-
-
-# the library's engines with their vector forms, which hand the recursion the
-# basis vector they compute rather than a Poly built from it
-_VECTOR_FORMS = ((_default_affine, _default_vector),
-                 (decode_exhaustive, _exhaustive),
-                 (decode_rs_affine, _rs_affine))
+    return _affine_entry(spec, r, _default_engine)
 
 
 @lru_cache(maxsize=None)
@@ -661,17 +661,32 @@ def _chart_positions(gf, m, d):
     return {mon: i for i, mon in enumerate(affine_basis(gf, m, d))}
 
 
-def _witness_vector(spec, f):
-    # a registered engine's Poly witness as a vector over the basis; the
-    # contract (reduced, degree <= d) keeps every term inside it
-    pos = _chart_positions(spec.gf, spec.m, spec.d)
-    vec = spec.gf.zeros(len(pos))
-    for exps, c in f.terms.items():
-        if exps not in pos:
-            raise ValueError(f"affine decoder for {spec} returned the term "
-                             f"{exps}, not a reduced monomial of degree <= {spec.d}")
-        vec[pos[exps]] = c
-    return vec
+def _chooser(fn):
+    # fn's chooser, (name, vector engine) for a spec: a library decoder's own,
+    # found by identity, or else fn as "registered", its Poly witness read as
+    # a vector over the basis, which the contract (reduced, degree <= d)
+    # keeps every term inside
+    if fn is _default_affine:
+        return _default_engine
+    if fn is decode_exhaustive:
+        return _exhaustive_engine
+    if fn is decode_rs_affine:
+        return _rs_engine
+
+    def registered(spec, r):
+        out = fn(spec, r)
+        if not out.ok:
+            return out
+        pos = _chart_positions(spec.gf, spec.m, spec.d)
+        vec = spec.gf.zeros(len(pos))
+        for exps, c in out.witness.terms.items():
+            if exps not in pos:
+                raise ValueError(f"affine decoder for {spec} returned the term "
+                                 f"{exps}, not a reduced monomial of degree <= {spec.d}")
+            vec[pos[exps]] = c
+        return DecodeResult.success(out.codeword, vec)
+
+    return lambda spec: ("registered", registered)
 
 
 class AffineDecoders:
@@ -679,50 +694,30 @@ class AffineDecoders:
 
     The default runs Gao's decoder for m = 1 and the exhaustive decoder
     otherwise.  Register alternatives to swap in faster engines per level.
-    The recursion reads each witness as its coefficient vector over the
-    RM(m, d) basis: the library's engines hand that vector over directly, a
-    registered engine's Poly is converted once, and a term outside the basis
-    (a witness breaking the contract) raises ValueError.
+    Each decoder is resolved once, when given, to a chooser that picks, on
+    every affine call of the recursion, the one engine that runs and the
+    name its trace event carries.  The library's decoders choose as their
+    docstrings say and hand over the witness vector they compute; any other
+    callable runs as "registered", its Poly witness converted once to its
+    vector over the RM(m, d) basis, and a term outside that basis (a
+    witness breaking the contract) raises ValueError.
     """
 
     def __init__(self, default=None):
-        self._table = {}
-        self._default = default or _default_affine
+        self._table = {}  # (m, d) -> (decoder, its chooser)
+        default = default or _default_affine
+        self._default = (default, _chooser(default))
 
     def register(self, m, d, fn):
-        self._table[(m, d)] = fn
+        self._table[(m, d)] = (fn, _chooser(fn))
         return self
 
     def decode(self, spec, r):
-        fn = self._table.get((spec.m, spec.d), self._default)
-        return fn(spec, r)
-
-    def _decode_vector(self, spec, r):
-        # decode, with the witness as a coefficient vector over the basis
-        fn = self._table.get((spec.m, spec.d), self._default)
-        for public, vector_form in _VECTOR_FORMS:
-            if fn is public:
-                return vector_form(spec, r)
-        out = fn(spec, r)
-        if not out.ok:
-            return out
-        return DecodeResult.success(out.codeword, _witness_vector(spec, out.witness))
+        return self._table.get((spec.m, spec.d), self._default)[0](spec, r)
 
     def _engine(self, spec):
-        # what decode runs on spec, for trace events: "scan" or "syndrome"
-        # (decode_exhaustive's route), "rs", "member" (either one at radius
-        # 0) or "registered"
-        fn = self._table.get((spec.m, spec.d), self._default)
-        if fn is _default_affine:
-            fn = decode_rs_affine if spec.m == 1 else decode_exhaustive
-        if fn is not decode_rs_affine and fn is not decode_exhaustive:
-            return "registered"
-        _, cap_t, routes = _route(spec)
-        if cap_t == 0:
-            return "member"
-        if fn is decode_rs_affine:
-            return "rs"
-        return _choose(spec, routes, _enum_bound())
+        # (name, vector engine) of the engine that decodes spec on this call
+        return self._table.get((spec.m, spec.d), self._default)[1](spec)
 
 
 def exhaustive_decoders():
@@ -797,10 +792,11 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
     r1, r2 = r[:q ** m], r[q ** m:]
 
     # first part: trust the affine block
-    first = decoders._decode_vector(lv.rm, r1)
+    engine, run = decoders._engine(lv.rm)
+    first = run(lv.rm, r1)
     if trace is not None:
         trace.append(dict(event="affine", part="first", m=m, d=d, ok=first.ok,
-                          engine=decoders._engine(lv.rm)))
+                          engine=engine))
     if first.ok:
         f0 = first.witness
         f = None
@@ -853,14 +849,14 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
         return DecodeResult.fail(BEYOND_RADIUS)
     v = second.codeword
     vxd = _replicate(gf, v, d)
-    aff = decoders._decode_vector(lv.rm_low, gf.sub(r1, vxd))
+    engine, run = decoders._engine(lv.rm_low)
+    aff = run(lv.rm_low, gf.sub(r1, vxd))
     if trace is not None:
         f_low = None
         if aff.ok:
             f_low = _poly(gf, m, affine_basis(gf, m, d - 1), aff.witness)
         trace.append(dict(event="affine", part="second", m=m, d=d - 1,
-                          ok=aff.ok, u=aff.codeword, f_low=f_low,
-                          engine=decoders._engine(lv.rm_low)))
+                          ok=aff.ok, u=aff.codeword, f_low=f_low, engine=engine))
     if not aff.ok:
         return DecodeResult.fail(BEYOND_RADIUS)
     f = _scatter(gf, k, (lv.low, aff.witness), (lv.tail, second.witness))
@@ -886,7 +882,7 @@ def _decode_entry(gf, m, d, r, decoders, strict, trace):
         g = _eval_matrix(gf, PRM, m, d)[1]
         if not np.array_equal(linalg.vec_mat(gf, out.witness, g), out.codeword):
             raise AssertionError("witness does not evaluate to the codeword")
-    return _pack(CodeSpec(PRM, gf, m, d), out)
+    return _pack(out, gf, PRM, m, d)
 
 
 def decode_prm(gf, m, d, r, decoders=None, trace=None):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import prmcodes
-from prmcodes.cli import EXIT_DECODE_FAIL, EXIT_OK, EXIT_USAGE, main, run_simulation
+from prmcodes.cli import (EXIT_DECODE_FAIL, EXIT_OK, EXIT_USAGE, _parse_vector, main,
+                          run_simulation)
 from prmcodes.codes import PRM, CodeSpec, encode
 from prmcodes.decoders import decode_prm_robust
 from prmcodes.gf import GF
@@ -107,6 +108,22 @@ def test_encode_rm_rejects_high_degree(capsys):
                            "--family", "rm", "--poly", "x1*x2")
     assert code == EXIT_USAGE
     assert "degree" in err
+
+
+def test_vector_fields_are_one_integer_each(capsys):
+    # '1 2, 3' once read as [12, 3] and '1,,2' as [1, 2]; over GF(257) the
+    # first is a valid word, so a typo decoded as another word
+    assert _parse_vector("1, 2, 3") == [1, 2, 3]
+    assert _parse_vector(" 7 ,8,\t9 ") == [7, 8, 9]
+    for text in ("1 2, 3", "1,,2", "1,2,", ",1", "", "1\t2,3"):
+        with pytest.raises(ValueError, match="malformed vector"):
+            _parse_vector(text)
+    zeros = ",".join(["0"] * 10)  # with one more symbol, k = 11 of PRM(1,10)
+    for bad in ("1 2," + zeros, "1,," + zeros):
+        code, out, err = run_cli(capsys, "encode", "--q", "257", "--m", "1", "--d", "10",
+                                 "--message", bad)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "malformed vector" in err
 
 
 def test_encode_requires_a_source(capsys):
@@ -245,6 +262,13 @@ def test_simulate_overweight_usage_error(capsys):
     assert "error" in err
 
 
+def test_simulate_negative_weight_usage_error(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--q", "3", "--m", "2", "--d", "3",
+                             "--errors", "-1", "--trials", "1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: error weight -1 is negative\n"
+
+
 # --- ratio-table ---
 
 def test_ratio_table_gf3_all_ones(capsys):
@@ -267,6 +291,15 @@ def test_ratio_table_gf4_single_deficit(capsys):
     assert below == ["3"]
     d3 = next(r for r in rows if r[0] == "3")
     assert d3[1:5] == ["6", "8", "2", "3"] and d3[5] == "0.667"
+
+
+def test_ratio_table_rejects_m_below_one(capsys):
+    # as params does, rather than printing only the header
+    for cmd in ("ratio-table", "params"):
+        extra = () if cmd == "ratio-table" else ("--d", "1")
+        code, out, err = run_cli(capsys, cmd, "--q", "4", "--m", "0", *extra)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: m must be >= 1\n"
 
 
 # --- demos ---

@@ -18,8 +18,8 @@ from prmcodes.codes import (PRM, RM, CodeSpec, _eval_matrix, code_params,
                             encode, generator_matrix, interpolate,
                             interpolate_family, replicate_scaled)
 from prmcodes.decoders import (DEFAULT_ENUM_BOUND, AffineDecoders,
-                               DecodeResult, EnumerationBoundError, _choose,
-                               _interpolate_line, _pack, _route,
+                               DecodeResult, EnumerationBoundError,
+                               _exhaustive_engine, _interpolate_line, _pack, _route,
                                _scan_route, _syndrome_route, _syndrome_table,
                                check_error_pattern, decode_exhaustive,
                                decode_prm, decode_prm_robust,
@@ -303,7 +303,7 @@ def test_split_syndrome_table_joins_heavy_patterns(q, m, d):
 
 def route_of(spec, bound=DEFAULT_ENUM_BOUND):
     # the route decode_exhaustive takes on spec under bound
-    return _choose(spec, _route(spec)[2], bound)
+    return _exhaustive_engine(spec, bound)[0]
 
 
 # the affine engines of the workload codes: solid-beyond's PRM(3,2)/GF(3)
@@ -331,8 +331,8 @@ def test_route_keeps_tables_no_larger_than_the_codebook():
     # its table would hold 1,917,240 patterns where the codebook holds
     # 2^16 + 2^8 words; plane-t0's RM(2,3)/GF(5) keeps its 152,100-pattern
     # table because fewer patterns than codewords lie within its radius
-    assert _route(spec_of(RM, 16, 1, 5))[2][0][0] == "scan"
-    assert _route(spec_of(RM, 5, 2, 3))[2][0][0] == "syndrome"
+    assert _route(spec_of(RM, 16, 1, 5))[0][0] == "scan"
+    assert _route(spec_of(RM, 5, 2, 3))[0][0] == "syndrome"
 
 
 def test_route_weighs_lookup_steps_against_scan_steps():
@@ -352,7 +352,7 @@ def test_route_falls_back_within_the_bound():
     # 59,049 that its codebook meets; below that neither fits
     spec = spec_of(RM, 3, 3, 2)
     gf, p = spec.gf, code_params(spec)
-    assert _route(spec)[2] == (("syndrome", 305658), ("scan", 59049))
+    assert [route[:2] for route in _route(spec)] == [("syndrome", 305658), ("scan", 59049)]
     assert route_of(spec, 305658) == "syndrome"
     assert route_of(spec, 305657) == "scan" == route_of(spec, 59049)
     rng = np.random.default_rng(4)
@@ -364,6 +364,23 @@ def test_route_falls_back_within_the_bound():
         decode_exhaustive(spec, r, bound=59048)
 
 
+def test_radius_zero_enumerates_nothing(monkeypatch):
+    # at radius 0 exactly the codewords decode under any bound, even one
+    # that admits no enumeration at all
+    spec = spec_of(RM, 3, 2, 3)  # [9, 8, 2], T = 0
+    gf = spec.gf
+    cw, _ = encode(spec, [1] * 8)
+    bad = cw.copy()
+    bad[0] = gf.add(bad[0], 1)
+    for bound in (0, -1):
+        assert np.array_equal(decode_exhaustive(spec, cw, bound).codeword, cw)
+        assert decode_exhaustive(spec, bad, bound).failure == "BeyondRadius"
+    monkeypatch.setenv("PRM_ENUM_BOUND", "-1")
+    trace = []
+    assert decode_prm(gf, 2, 3, gf.zeros(13), trace=trace).ok
+    assert [ev["engine"] for ev in trace if ev["event"] == "affine"] == ["member", "member"]
+
+
 # codes whose scan and syndrome routes both fit under the default bound
 BOTH_ROUTES = [(RM, 3, 3, 2), (RM, 3, 2, 2), (RM, 4, 2, 2), (PRM, 4, 2, 2)]
 
@@ -373,7 +390,7 @@ BOTH_ROUTES = [(RM, 3, 3, 2), (RM, 3, 2, 2), (RM, 4, 2, 2), (PRM, 4, 2, 2)]
 def test_scan_and_syndrome_routes_agree(code, planted, data):
     spec = spec_of(*code)
     gf, p = spec.gf, code_params(spec)
-    assert all(count <= DEFAULT_ENUM_BOUND for _, count in _route(spec)[2])
+    assert all(count <= DEFAULT_ENUM_BOUND for _, count, _ in _route(spec))
     if planted:
         msg = data.draw(st.lists(st.integers(0, gf.q - 1), min_size=p.k, max_size=p.k))
         w = data.draw(st.integers(0, p.T + 2))
@@ -496,7 +513,7 @@ ORACLE_BOUND = 2 ** 21
 
 
 def oracle_fits(q, d):
-    return any(count <= ORACLE_BOUND for _, count in _route(spec_of(RM, q, 1, d))[2])
+    return any(count <= ORACLE_BOUND for _, count, _ in _route(spec_of(RM, q, 1, d)))
 
 
 RS_CODES = [(q, d) for q in (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27) for d in range(q - 2)
@@ -592,6 +609,75 @@ def test_prm_golden_digest_workload_codes():
                     digest.update(_digest_value(value))
     assert digest.hexdigest() == (
         "3fa254f0c148eb0e7dc7afccea5d43f9dc64e55c712666d8a16f293aed3e3832")
+
+
+def _poly_witnesses(spec, r):
+    # a registered engine: the default's result, its witness as a Poly
+    out = AffineDecoders().decode(spec, r)
+    return out if not out.ok else DecodeResult.success(out.codeword, out.witness)
+
+
+# (spec, bounds) of the bound ladder below: each bound just under, at and
+# over every route's enumeration (none past 2^24 where a route would build
+# a table or codebook that large)
+BOUND_LADDER = [((RM, 3, 3, 2), (0, 59048, 59049, 305657, 305658, DEFAULT_ENUM_BOUND)),
+                ((RM, 5, 2, 3), (0, 3390499, 3390500, 9765624, 9765625)),
+                ((RM, 13, 1, 3), (0, 28560, 28561, 15331835, 15331836)),
+                ((RM, 7, 2, 3), (0, 1, DEFAULT_ENUM_BOUND, 282475248))]
+
+
+def test_prm_golden_digest_registry_kinds(monkeypatch):
+    # results and trace events under the three kinds of registry (the
+    # default, exhaustive_decoders() and a registered engine returning Poly
+    # witnesses) on four PRM codes at weights 0..T+1, then decode_exhaustive
+    # over a bound ladder: each EnumerationBoundError message, or the result
+    # of a word with T errors; the value was computed before the affine
+    # engine choice was made in one place
+    monkeypatch.delenv("PRM_ENUM_BOUND", raising=False)
+    registered = AffineDecoders(default=_poly_witnesses).register(1, 1, _poly_witnesses)
+    digest = hashlib.sha256()
+    engines, raised = set(), 0
+    for q, m, d in ((5, 2, 4), (3, 3, 2), (3, 2, 3), (5, 1, 2)):
+        spec = spec_of(PRM, q, m, d)
+        gf, p = spec.gf, code_params(spec)
+        for kind, decoders in (("default", None), ("exhaustive", exhaustive_decoders()),
+                               ("registered", registered)):
+            rng = np.random.default_rng(q * 100 + m * 10 + d)
+            for i in range(24):
+                cw, _ = encode(spec, rng.integers(0, q, size=p.k))
+                r = gf.add(cw, random_error(gf, rng, p.n, i % (p.T + 2)))
+                for decode in (decode_prm, decode_prm_robust):
+                    trace = []
+                    out = decode(gf, m, d, r, decoders=decoders, trace=trace)
+                    digest.update(kind.encode() + _digest_value(out.failure))
+                    if out.ok:
+                        digest.update(_digest_value(out.codeword))
+                        digest.update(_digest_value(out.witness))
+                    for ev in trace:
+                        engines.add(ev.get("engine"))
+                        for key, value in ev.items():
+                            digest.update(key.encode())
+                            digest.update(_digest_value(value))
+    for code, bounds in BOUND_LADDER:
+        spec = spec_of(*code)
+        gf, p = spec.gf, code_params(spec)
+        rng = np.random.default_rng(p.n)
+        cw, _ = encode(spec, rng.integers(0, gf.q, size=p.k))
+        r = gf.add(cw, random_error(gf, rng, p.n, p.T))
+        for bound in bounds:
+            try:
+                out = decode_exhaustive(spec, r, bound)
+            except EnumerationBoundError as exc:
+                raised += 1
+                digest.update(str(exc).encode())
+                continue
+            digest.update(_digest_value(out.failure))
+            digest.update(_digest_value(out.codeword))
+            digest.update(_digest_value(out.witness))
+    assert engines == {None, "scan", "syndrome", "rs", "member", "registered"}
+    assert raised == 10
+    assert digest.hexdigest() == (
+        "82f28f413800947dc62ab118acdeca96a08653194ef6810e02a92771fe725d1c")
 
 
 def test_prm_line_reaches_gf521_at_t0():
@@ -693,11 +779,10 @@ def test_packed_witness_takes_one_or_two_bytes_an_element(q):
     # a packed success keeps its witness vector one byte an element up to
     # q = 256 and two above, so an entry q - 1 survives on either side
     gf = GF.from_order(q)
-    spec = CodeSpec(RM, gf, 1, 3)
     mons, g = _eval_matrix(gf, RM, 1, 3)
     vec = gf.asarray([q - 1, 0, 1, q - 2])
     cw = vec_mat(gf, vec, g)
-    out = _pack(spec, DecodeResult.success(cw, vec))
+    out = _pack(DecodeResult.success(cw, vec), gf, RM, 1, 3)
     assert out.witness == Poly(gf, 2, zip(mons, vec.tolist()))
     assert np.array_equal(out.codeword, cw)
     assert pickle.loads(pickle.dumps(out)) == out
@@ -1129,6 +1214,43 @@ def test_trace_names_each_affine_engine():
                    decoders=exhaustive_decoders()) == {(1, 2): "syndrome"}
     spy = AffineDecoders().register(2, 1, lambda spec, r: decode_exhaustive(spec, r))
     assert engines(gf, 3, 2, *far, decoders=spy)[(2, 1)] == "registered"
+
+
+def test_trace_names_the_engine_that_ran(monkeypatch):
+    # under a bound of 100,000 solid-beyond's RM(3,2)/GF(3) cannot use its
+    # 305,658-pattern syndrome route, so it scans and its events say so;
+    # RM(2,2)/GF(3) keeps its 18-pattern lookup
+    from prmcodes import decoders
+    built = {"scan": set(), "syndrome": set()}
+    for route, name in (("scan", "_codebook"), ("syndrome", "_syndrome_table")):
+        def spy(spec, _route=route, _table=getattr(decoders, name)):
+            built[_route].add((spec.m, spec.d))
+            return _table(spec)
+        monkeypatch.setattr(decoders, name, spy)
+    monkeypatch.setenv("PRM_ENUM_BOUND", "100000")
+    gf = GF(3)
+    spec = CodeSpec(PRM, gf, 3, 2)
+    rng = np.random.default_rng(5)
+    traced = set()
+    for _ in range(20):
+        trace = []
+        r = gf.add(encode(spec, rng.integers(0, 3, size=10))[0],
+                   random_error(gf, rng, 40, 8))
+        decode_prm_robust(gf, 3, 2, r, trace=trace)
+        traced |= {(ev["m"], ev["d"], ev["engine"]) for ev in trace
+                   if ev["event"] == "affine"}
+    assert traced == {(3, 2, "scan"), (3, 1, "scan"), (2, 2, "syndrome"), (2, 1, "scan")}
+    assert built == {"scan": {(3, 2), (3, 1), (2, 1)}, "syndrome": {(2, 2)}}
+    # a library engine registered by name traces as itself, any other
+    # callable as registered
+    gf5, trace = GF(5), []
+    rs_line = exhaustive_decoders().register(1, 2, decode_rs_affine)
+    decode_prm(gf5, 1, 2, gf5.zeros(6), decoders=rs_line, trace=trace)
+    assert [ev.get("engine") for ev in trace] == ["rs", None]
+    trace = []
+    wrapped = AffineDecoders().register(1, 2, lambda spec, r: decode_exhaustive(spec, r))
+    decode_prm(gf5, 1, 2, gf5.zeros(6), decoders=wrapped, trace=trace)
+    assert [ev.get("engine") for ev in trace] == ["registered", None]
 
 
 def test_witness_always_evaluates_to_codeword():
