@@ -167,6 +167,8 @@ def run_simulation(gf, m, d, error_weight, trials, seed, alg="alg1",
         raise ValueError(f"error weight {error_weight} is negative")
     if error_weight > params.n:
         raise ValueError(f"error weight {error_weight} exceeds n = {params.n}")
+    if trials < 0:
+        raise ValueError(f"trial count {trials} is negative")
     run = decode_prm if alg == "alg1" else decode_prm_robust
     successes = failures = wrong = 0
     started = time.perf_counter()

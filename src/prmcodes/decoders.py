@@ -11,12 +11,14 @@ the bounded-distance contract can be registered per (m, d):
 
 The projective line, the [q+1, d+1, q-d+1] code, is level m = 1 of the same
 recursion; its affine engine is Gao's Reed-Solomon decoder.  That decoder's
-partial Euclid keeps each remainder and its cofactor in one 2-row array, so
-a step is one table gather and an XOR on GF(2^e), and it takes the quotient
-f = g/v by evaluation: g/v off the roots of v, g'/v' on them (simple roots
-whenever the word is within the radius), then one line interpolation.  The
-residual check keeps its outcomes those of an exact division, since a
-codeword within the radius is unique (see decode_rs_affine).
+partial Euclid keeps each remainder and its cofactor as the two columns of
+one (n, 2) array, so on GF(2^e) a step is one 1-d take from a row of the
+product table and an in-place XOR on a contiguous block of rows.  It takes
+the quotient f = g/v by evaluation: g/v off the roots of v, g'/v' on them
+(simple roots whenever the word is within the radius), then one line
+interpolation.  The residual check keeps its outcomes those of an exact
+division, since a codeword within the radius is unique (see
+decode_rs_affine).
 
 Each affine call chooses its engine once.  AffineDecoders resolves every
 decoder it holds to a chooser when it is given one; at each call the
@@ -571,30 +573,31 @@ def _degree(a):
 
 def _partial_euclid(gf, a, b, stop):
     # the first remainder g of Euclid on (a, b) with 2 deg g < stop, and v
-    # with g = ua + vb.  Each remainder shares a 2-row array with its
-    # cofactor of b, so a step, which cancels the leading term of the higher
-    # remainder with a shifted multiple of the lower one, updates both rows
-    # at once: one gather from a row of the product table and an in-place
-    # XOR on GF(2^e), one field subtraction elsewhere
+    # with g = ua + vb.  Each remainder and its cofactor of b are the two
+    # columns of one (n, 2) array, so a step, which cancels the leading term
+    # of the higher remainder with a shifted multiple of the lower one,
+    # updates both on one contiguous block of rows: a 1-d take from a row of
+    # the product table and an in-place XOR on GF(2^e), one field
+    # subtraction elsewhere
     n = len(a)
-    hi, lo = np.zeros((2, n), dtype=DTYPE), np.zeros((2, n), dtype=DTYPE)
-    hi[0], lo[0, :len(b)], lo[1, 0] = a, b, 1
+    hi, lo = np.zeros((n, 2), dtype=DTYPE), np.zeros((n, 2), dtype=DTYPE)
+    hi[:, 0], lo[:len(b), 0], lo[0, 1] = a, b, 1
     dh, dl = _degree(a), _degree(b)
     xor = gf.p == 2 and gf.e > 1
     while 2 * dl >= stop:
-        inv = gf.inv(int(lo[0, dl]))
+        inv = gf.inv(lo.item(dl, 0))
         while dh >= dl:
             s = dh - dl
-            c = gf.mul(int(hi[0, dh]), inv)
+            c = gf.mul(hi.item(dh, 0), inv)
             if xor:
-                hi[:, s:] ^= gf._mul_table[c][lo[:, :n - s]]
+                hi[s:] ^= gf._mul_table[c].take(lo[:n - s])
             else:
-                hi[:, s:] = gf.sub(hi[:, s:], gf.mul(c, lo[:, :n - s]))
+                hi[s:] = gf.sub(hi[s:], gf.mul(c, lo[:n - s]))
             dh -= 1
-            while dh >= 0 and not hi[0, dh]:
+            while dh >= 0 and not hi.item(dh, 0):
                 dh -= 1
         hi, lo, dh, dl = lo, hi, dl, dh
-    return lo[0, :dl + 1], lo[1]
+    return lo[:dl + 1, 0], lo[:, 1]
 
 
 def _derivative(gf, a):

@@ -6,10 +6,11 @@ echelon form, rank and kernel, which interpolation and the syndrome table
 use), plus the one vector-matrix product.  Elimination loops over pivots in
 Python and updates all rows of a pivot step at once; the product is a single
 array operation, an integer matmul mod p on prime fields (int32 while no
-sum can reach 2^31, int64 above) and one table gather plus a field sum on
-extension fields.  Polynomials live elsewhere, as `poly.Poly` or as
-coefficient vectors over a basis whose evaluations are the rows of a matrix,
-so evaluating one is a `vec_mat` with that matrix.
+sum can reach 2^31, int64 above) and, on extension fields, one 1-d take
+from the flattened product table plus a field sum.  Polynomials live
+elsewhere, as `poly.Poly` or as coefficient vectors over a basis whose
+evaluations are the rows of a matrix, so evaluating one is a `vec_mat` with
+that matrix.
 """
 
 import numpy as np
@@ -66,7 +67,10 @@ def vec_mat(gf, vec, mat):
 
     On GF(p) the product is an integer matmul reduced mod p.  It runs on the
     int32 operands as they are whenever no sum can wrap, (p-1)^2 * r < 2^31,
-    and on int64 copies otherwise.
+    and on int64 copies otherwise.  On GF(p^e) the r x c products are one
+    take from the q x q product table read as a flat array, at the indices
+    vec[i] * q + mat[i, j], and gf._sum adds them down the rows; mat may be
+    any strided view, since the index array is built fresh.
     """
     mat = np.asarray(mat, dtype=DTYPE)
     if gf.e == 1:
@@ -75,4 +79,5 @@ def vec_mat(gf, vec, mat):
         # exact in int64: (p-1)^2 * r < 2^63 for p < 2^16 and r < 2^31
         prod = np.asarray(vec, dtype=np.int64) @ mat.astype(np.int64)
         return (prod % gf.p).astype(DTYPE)
-    return gf._sum(gf.mul(np.asarray(vec, dtype=DTYPE)[:, None], mat))
+    idx = np.asarray(vec, dtype=DTYPE)[:, None] * gf.q + mat
+    return gf._sum(gf._mul_table.ravel().take(idx))

@@ -269,6 +269,13 @@ def test_simulate_negative_weight_usage_error(capsys):
     assert err == "error: error weight -1 is negative\n"
 
 
+def test_simulate_negative_trials_usage_error(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--q", "3", "--m", "2", "--d", "3",
+                             "--errors", "1", "--trials", "-5")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: trial count -5 is negative\n"
+
+
 # --- ratio-table ---
 
 def test_ratio_table_gf3_all_ones(capsys):

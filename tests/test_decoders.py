@@ -572,6 +572,30 @@ def test_rs_golden_digest_gf128():
         "35a2c59aa66c9147982e2ddd9f12d08fbc932075b71a2c7e238c64ca11f02b04")
 
 
+def test_rs_golden_digest_odd_fields():
+    # 150 RM(1,8)/GF(3^3) and 150 RM(1,1)/GF(5) words at weights T..T+2,
+    # where Gao's Euclid steps subtract through gf.sub, not by XOR: the
+    # failure kinds, codewords and witness terms hash to the value of the
+    # decoder whose Euclid kept remainder and cofactor as rows of one array
+    digest = hashlib.sha256()
+    kinds = set()
+    for q, d, seed in ((27, 8, 27), (5, 1, 5)):
+        spec = spec_of(RM, q, 1, d)
+        gf, p = spec.gf, code_params(spec)
+        rng = np.random.default_rng(seed)
+        for i in range(150):
+            cw, _ = encode(spec, rng.integers(0, q, size=p.k))
+            out = decode_rs_affine(spec, gf.add(cw, random_error(gf, rng, p.n, p.T + i % 3)))
+            kinds.add((q, out.failure))
+            digest.update(repr(out.failure).encode())
+            if out.ok:
+                digest.update(out.codeword.astype("<i4").tobytes())
+                digest.update(repr([(e, int(c)) for e, c in out.witness.terms.items()]).encode())
+    assert kinds == {(q, kind) for q in (27, 5) for kind in (None, "BeyondRadius")}
+    assert digest.hexdigest() == (
+        "25fd3602a2fa9980136169f7079238838929046c14bb4cbcbe042f10f2b4c4ec")
+
+
 def _digest_value(x):
     # a trace or result field as bytes that pin it exactly: a Poly by its
     # terms in order, an array by its values and dtype

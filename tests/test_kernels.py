@@ -1,6 +1,8 @@
 """Whole-array GF kernels against scalar references written here: the
-vector-matrix product against a row loop of scalar field operations, and
-polynomial evaluation over point blocks against Poly.evaluate at every point.
+vector-matrix product against a row loop of scalar field operations, also
+at the sizes and on the strided views the line decoder passes, polynomial
+evaluation over point blocks against Poly.evaluate at every point, and the
+partial Euclid of Gao's decoder against a schoolbook product and remainder.
 Property tests over prime fields, GF(2^e) and odd-characteristic extension
 fields."""
 
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from prmcodes.decoders import _degree, _partial_euclid
 from prmcodes.geometry import affine_points, projective_points
 from prmcodes.gf import GF
 from prmcodes.linalg import vec_mat
@@ -52,6 +55,43 @@ def check_vec_mat(gf, vec, mat):
 @example((FIELDS[BIG_P], np.zeros(0, np.int32), np.zeros((0, 2), np.int32)))
 def test_vec_mat_matches_row_loop(inputs):
     check_vec_mat(*inputs)
+
+
+VIEW_ORDERS = (4, 8, 9, 27, 128)
+
+
+@st.composite
+def strided_products(draw):
+    # 64-129 rows, the sizes of the line decoder's products up to GF(128),
+    # and the views it passes: the reversed, transposed evaluation matrix of
+    # _interpolate_line, and the row slices and column subsets of _quotient;
+    # the entries come from a drawn seed, as arrays this large overrun
+    # hypothesis's buffer
+    gf = FIELDS[draw(st.sampled_from(VIEW_ORDERS))]
+    rows = draw(st.integers(64, 129))
+    cols = draw(st.integers(1, 12))
+    spare = draw(st.integers(0, 6))
+    view = draw(st.sampled_from(["reversed_transpose", "row_slice", "column_subset"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vec = rng.integers(0, gf.q, size=rows, dtype=np.int32)
+    if view == "reversed_transpose":  # x[::-1].T
+        mat = rng.integers(0, gf.q, size=(cols, rows), dtype=np.int32)[::-1].T
+    elif view == "row_slice":  # x[:k]
+        mat = rng.integers(0, gf.q, size=(rows + spare, cols), dtype=np.int32)[:rows]
+    else:  # x[:k, roots]
+        x = rng.integers(0, gf.q, size=(rows + spare, cols + spare), dtype=np.int32)
+        roots = sorted(draw(st.sets(st.integers(0, cols + spare - 1),
+                                    min_size=1, max_size=cols)))
+        mat = x[:rows, roots]
+    return gf, vec, mat
+
+
+@settings(max_examples=40, deadline=None)
+@given(strided_products())
+def test_vec_mat_strided_views_at_line_sizes(inputs):
+    gf, vec, mat = inputs
+    check_vec_mat(gf, vec, mat)
+    check_vec_mat(gf, vec[:0], mat[:0])  # the empty vector
 
 
 @settings(max_examples=10, deadline=None)
@@ -146,3 +186,47 @@ def test_eval_zero_and_constant():
         assert not eval_projective(Poly.zero(gf, 2), 1).any()
         assert eval_affine(Poly.constant(gf, 2, top), 1).tolist() == [top] * gf.q
         assert eval_projective(Poly.constant(gf, 2, top), 1).tolist() == [top] * (gf.q + 1)
+
+
+def poly_mul(gf, a, b):
+    # schoolbook product of coefficient lists, lowest degree first
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = gf.add(out[i + j], gf.mul(x, y))
+    return out
+
+
+def poly_rem(gf, a, m):
+    # remainder of a by m, whose last coefficient is nonzero
+    a = list(a)
+    inv = gf.inv(m[-1])
+    for top in range(len(a) - 1, len(m) - 2, -1):
+        c = gf.mul(a[top], inv)
+        for j, y in enumerate(m):
+            a[top - len(m) + 1 + j] = gf.sub(a[top - len(m) + 1 + j], gf.mul(c, y))
+    return a[:len(m) - 1]
+
+
+@pytest.mark.parametrize("q", (5, 8, 9, 128))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_partial_euclid_remainder_and_cofactor(q, data):
+    # for a of degree n-1 and b of lower degree, the g and v that
+    # _partial_euclid returns satisfy 2 deg g < stop and g = v b (mod a)
+    gf = GF.from_order(q)
+    n = data.draw(st.integers(2, 48))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.integers(0, q, size=n, dtype=np.int32)
+    a[-1] = rng.integers(1, q)
+    b = rng.integers(0, q, size=data.draw(st.integers(0, n - 1)), dtype=np.int32)
+    if data.draw(st.booleans()):
+        b[data.draw(st.integers(0, len(b))):] = 0  # zero leading terms, all of b at times
+    # often a stop that the degree of b reaches, so that Euclid steps run
+    stop = data.draw(st.integers(1, max(2 * _degree(b), 1)) | st.integers(1, 2 * n))
+    g, v = _partial_euclid(gf, a, b, stop)
+    assert 2 * _degree(g) < stop
+    assert len(v) == n
+    lhs = poly_rem(gf, poly_mul(gf, v.tolist(), b.tolist() or [0]), a.tolist())
+    rhs = (g.tolist() + [0] * n)[:n - 1]
+    assert lhs == rhs
