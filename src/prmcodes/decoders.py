@@ -76,11 +76,19 @@ INCONSISTENT = "Inconsistent"
 
 DEFAULT_ENUM_BOUND = 2 ** 24
 _TABLE_PATTERNS = 2 ** 18  # syndrome-table size cap, unless ceil(T/2) classes hold more
-# the time of one syndrome-lookup step (an int64 syndrome symbol: divided
-# out of its key, subtracted, multiplied back, with its share of a binary
+# the time of one syndrome-lookup step (a stored syndrome symbol of the
+# join: subtracted, multiplied into an int64 key, with its share of a binary
 # search) in codeword-scan steps (a uint8 compare-and-add along a contiguous
-# row): measured 25 ns against 0.16 ns, on RM(1,3)/GF(13) and RM(3,2)/GF(3)
+# row): measured 11-22 ns against 0.14-0.27 ns, a ratio of 64-96, on the
+# large joins of RM(1,3) and RM(1,4)/GF(13); 173-201 while the join divided
+# each key back into symbols.  Within 64-256 the routes do not move
 _LOOKUP_STEP = 128
+# the most block symbols the codeword scan compares with the word in one
+# call: 1.2-9x faster than the row loop on every block of up to 2^13
+# symbols timed (4x on RM(3,1)/GF(3)'s 27 x 81); above that, blocks of a
+# few rows over thousands of words ran up to 1.7x slower, where the row
+# loop makes few calls, and RM(3,2)/GF(3)'s 27 x 59049 block 6x slower
+_SCAN_AT_ONCE = 2 ** 13
 
 
 class EnumerationBoundError(RuntimeError):
@@ -156,9 +164,12 @@ def _hashable(a):
 
 
 class _Packed(DecodeResult):
-    # a packed success (see DecodeResult); its properties shadow the
-    # codeword and witness slots, which stay empty
-    __slots__ = ("_code", "_packed")
+    # a packed success (see DecodeResult).  Its properties shadow the names
+    # codeword and witness, so the code key and the packed bytes live in
+    # those inherited slots, reached through their descriptors: no slot added
+    __slots__ = ()
+    _code = DecodeResult.codeword
+    _packed = DecodeResult.witness
 
     def __init__(self, code, packed):
         object.__setattr__(self, "failure", None)
@@ -282,19 +293,27 @@ def _codebook(spec):
 
 
 def _scan_codewords(spec, r, cap_t):
-    # nearest block word to r - offset, one offset at a time; the distance of
-    # every block word is counted position by position in a counter that
-    # holds n, so each step is one compare and one add over a contiguous row
+    # nearest block word to r - offset, one offset at a time.  A block of at
+    # most _SCAN_AT_ONCE symbols is compared with r - offset in one call.  In
+    # a larger one the distance of every block word is counted position by
+    # position in a counter that holds n, so each step is one compare and one
+    # add over a contiguous row
     gf = spec.gf
     offsets, block = _codebook(spec)
     n, words = block.shape
-    hit = np.empty(words, dtype=bool)
-    dist = np.empty(words, dtype=np.min_scalar_type(n))
+    at_once = block.size <= _SCAN_AT_ONCE
+    if not at_once:
+        hit = np.empty(words, dtype=bool)
+        dist = np.empty(words, dtype=np.min_scalar_type(n))
     for offset in offsets.T:
-        dist.fill(0)
-        for row, s in zip(block, gf.sub(r, offset).astype(block.dtype)):
-            np.not_equal(row, s, out=hit)
-            dist += hit.view(np.uint8)  # a uint8 add; adding bools is slower
+        target = gf.sub(r, offset).astype(block.dtype)
+        if at_once:
+            dist = np.count_nonzero(block != target[:, None], axis=0)
+        else:
+            dist.fill(0)
+            for row, s in zip(block, target):
+                np.not_equal(row, s, out=hit)
+                dist += hit.view(np.uint8)  # a uint8 add; adding bools is slower
         j = int(np.argmin(dist))
         if dist[j] <= cap_t:
             return gf.add(block[:, j], offset)
@@ -326,7 +345,12 @@ def _syndrome_table(spec):
 
     h is _stored_weights, at least ceil(T/2), so a pattern of any weight W
     in (h, T] is the sum of a stored pattern of weight W-h and one of weight
-    h; _find_pattern looks those up as a join of the two classes.
+    h; _find_pattern looks those up as a join of the two classes.  A class
+    is (keys, support index, value index, supports, values, syndromes),
+    sorted by key.  For the classes 1..T-h that a join subtracts, syndromes
+    holds the symbols of each key, keys // powers % q, one row per key in
+    the narrow dtype of the field; heavier classes, which only the search
+    reads, keep None there.
     """
     gf = spec.gf
     params = code_params(spec)
@@ -359,30 +383,33 @@ def _syndrome_table(spec):
         # keys are unique: two patterns of weight <= T with one syndrome
         # would differ by a codeword of weight <= 2T < wt
         order = np.argsort(keys)
-        classes.append((keys[order], sup_idx[order], val_idx[order], sups, vals))
+        keys = keys[order]
+        syns = None
+        if w <= params.T - top:
+            syns = (keys[:, None] // powers % q).astype(_narrow_dtype(q))
+        classes.append((keys, sup_idx[order], val_idx[order], sups, vals, syns))
     return h, powers, classes
 
 
-def _find_pattern(gf, n, cap_t, key, powers, classes):
-    # the one error pattern of weight <= cap_t whose syndrome has this key, or
-    # None.  Past the stored classes 1..h, h = len(classes), a pattern of
-    # weight W in (h, cap_t] is e1 + e2 with wt(e1) = W-h and wt(e2) = h: for
-    # every stored e1 of weight W-h at once, one searchsorted asks whether
+def _find_pattern(gf, n, cap_t, syn, key, powers, classes):
+    # the one error pattern of weight <= cap_t whose syndrome is syn, of key
+    # syn @ powers, or None.  Past the stored classes 1..h, h = len(classes),
+    # a pattern of weight W in (h, cap_t] is e1 + e2 with wt(e1) = W-h and
+    # wt(e2) = h: for every stored e1 of weight W-h at once, one subtraction
+    # of its stored syndrome row and one searchsorted ask whether
     # s - syn(e1) is a key of class h.  Any hit is a pattern of weight <= W
     # with syndrome s, and that pattern is unique, so every hit gives the same
     # e.  The first W that hits is wt(e), where e1 and e2 are disjoint parts
     # of e; the field add keeps e right for any hit.
-    for keys, sup_idx, val_idx, sups, vals in classes:
+    for keys, sup_idx, val_idx, sups, vals, _ in classes:
         pos = int(np.searchsorted(keys, key))
         if pos < len(keys) and keys[pos] == key:
             e = gf.zeros(n)
             e[sups[sup_idx[pos]]] = vals[val_idx[pos]]
             return e
-    q = gf.q
-    syn = key // powers % q
-    h_keys, h_sup_idx, h_val_idx, h_sups, h_vals = classes[-1]
-    for keys, sup_idx, val_idx, sups, vals in classes[:cap_t - len(classes)]:
-        rest = gf.sub(syn, keys[:, None] // powers % q).astype(np.int64) @ powers
+    h_keys, h_sup_idx, h_val_idx, h_sups, h_vals, _ = classes[-1]
+    for keys, sup_idx, val_idx, sups, vals, syns in classes[:cap_t - len(classes)]:
+        rest = gf.sub(syn, syns).astype(np.int64) @ powers
         pos = np.minimum(np.searchsorted(h_keys, rest), len(h_keys) - 1)
         hit = np.flatnonzero(h_keys[pos] == rest)
         if len(hit):
@@ -432,21 +459,25 @@ def decode_exhaustive(spec, r, bound=None):
     decode and its table holds no more patterns than the scan's codebook
     holds words.  The scan's work is n * q^k compare-and-adds of one byte;
     the lookup's is the syndrome's n * (n-k) symbols plus (n-k) for each
-    stored pattern the join subtracts, each int64 symbol step weighted as
-    128 scan steps, as measured.  Valid for both families; the projective
-    decoders use it as the default affine engine for m >= 2 and the tests
-    as the ground-truth oracle.
+    stored pattern the join subtracts, each symbol step weighted as 128 scan
+    steps (measured at 64-96 with stored join syndromes, 173-201 before).
+    Valid for both families; the projective decoders use it as the default
+    affine engine for m >= 2 and the tests as the ground-truth oracle.
 
     The codeword scan reads a cached position-major codebook of up to 2^16
     words, one byte per symbol for q <= 256 and two above, once per span
     word of the remaining leading generator rows; the codeword it returns
-    is in the field dtype, like every other result.
+    is in the field dtype, like every other result.  A codebook of at most
+    2^13 symbols is compared with the word in one call; a larger one
+    position by position.
 
     The syndrome lookup stores the error patterns of weights 1..h only, the
     most classes that fit in 2^18 patterns but at least ceil(T/2) of them.
     A heavier pattern, of weight W <= T, is found by a join: one stored
     pattern of weight W-h whose syndrome, subtracted from the received one,
-    leaves the syndrome of a stored pattern of weight h.
+    leaves the syndrome of a stored pattern of weight h.  The classes
+    1..T-h that a join subtracts keep their syndromes as rows of symbols,
+    so a join is one subtraction and one key product, with no division.
     """
     return _affine_entry(spec, r, _exhaustive_engine, bound)
 
@@ -467,7 +498,7 @@ def _syndrome_route(spec, r, cap_t):
     key = int(syn.astype(np.int64) @ powers)
     if key == 0:
         return DecodeResult.success(r.copy(), _interpolate(spec, r))
-    e = _find_pattern(gf, len(r), cap_t, key, powers, classes)
+    e = _find_pattern(gf, len(r), cap_t, syn, key, powers, classes)
     if e is None:
         return DecodeResult.fail(BEYOND_RADIUS)
     cw = gf.sub(r, e)
@@ -571,6 +602,16 @@ def _degree(a):
     return int(nz[-1]) if len(nz) else -1
 
 
+@lru_cache(maxsize=None)
+def _scalar_tables(gf):
+    # GF(p^e) as Python lists for Euclid's scalar steps: the rows of the
+    # product table and the inverses (entry 0 unused), both read off the
+    # numpy tables
+    inv = gf.antilog_table[-gf.log_table % (gf.q - 1)]
+    inv[0] = 0
+    return gf._mul_table.tolist(), inv.tolist()
+
+
 def _partial_euclid(gf, a, b, stop):
     # the first remainder g of Euclid on (a, b) with 2 deg g < stop, and v
     # with g = ua + vb.  Each remainder and its cofactor of b are the two
@@ -578,17 +619,24 @@ def _partial_euclid(gf, a, b, stop):
     # of the higher remainder with a shifted multiple of the lower one,
     # updates both on one contiguous block of rows: a 1-d take from a row of
     # the product table and an in-place XOR on GF(2^e), one field
-    # subtraction elsewhere
+    # subtraction elsewhere.  The step's scalar c is an integer product mod
+    # p on a prime field and a read from _scalar_tables' lists otherwise
     n = len(a)
     hi, lo = np.zeros((n, 2), dtype=DTYPE), np.zeros((n, 2), dtype=DTYPE)
     hi[:, 0], lo[:len(b), 0], lo[0, 1] = a, b, 1
     dh, dl = _degree(a), _degree(b)
     xor = gf.p == 2 and gf.e > 1
+    p = gf.p if gf.e == 1 else 0
+    if not p:
+        products, inverses = _scalar_tables(gf)
     while 2 * dl >= stop:
-        inv = gf.inv(lo.item(dl, 0))
+        if p:
+            inv = pow(lo.item(dl, 0), -1, p)
+        else:
+            by_inv = products[inverses[lo.item(dl, 0)]]  # x -> x * lead(lo)^-1
         while dh >= dl:
             s = dh - dl
-            c = gf.mul(hi.item(dh, 0), inv)
+            c = hi.item(dh, 0) * inv % p if p else by_inv[hi.item(dh, 0)]
             if xor:
                 hi[s:] ^= gf._mul_table[c].take(lo[:n - s])
             else:

@@ -6,6 +6,7 @@ packed results the entry points return."""
 import hashlib
 import itertools
 import pickle
+import sys
 import tracemalloc
 from functools import lru_cache
 
@@ -17,10 +18,12 @@ from hypothesis import strategies as st
 from prmcodes.codes import (PRM, RM, CodeSpec, _eval_matrix, code_params,
                             encode, generator_matrix, interpolate,
                             interpolate_family, replicate_scaled)
-from prmcodes.decoders import (DEFAULT_ENUM_BOUND, AffineDecoders,
-                               DecodeResult, EnumerationBoundError,
+from prmcodes.decoders import (_SCAN_AT_ONCE, DEFAULT_ENUM_BOUND,
+                               AffineDecoders, DecodeResult,
+                               EnumerationBoundError, _codebook,
                                _exhaustive_engine, _interpolate_line, _pack, _route,
-                               _scan_route, _syndrome_route, _syndrome_table,
+                               _scan_codewords, _scan_route, _stored_weights,
+                               _syndrome_route, _syndrome_table,
                                check_error_pattern, decode_exhaustive,
                                decode_prm, decode_prm_robust,
                                decode_rs_affine, exhaustive_decoders, weight)
@@ -142,12 +145,13 @@ def test_exhaustive_scan_counter_holds_n():
 
 
 # codes on the codeword-scan route with q^k <= 2^12: prime fields, GF(2^e)
-# and odd-characteristic extension fields
+# and odd-characteristic extension fields, with blocks on both sides of
+# _SCAN_AT_ONCE; RM(6,1)/GF(2)'s 64 x 128 block is exactly 2^13 symbols
 SCAN_CODES = [(RM, 3, 2, 1), (PRM, 3, 2, 1), (RM, 7, 1, 2), (PRM, 5, 1, 1),
               (RM, 5, 2, 1), (PRM, 7, 2, 1), (RM, 2, 4, 1), (PRM, 2, 3, 1),
               (RM, 4, 2, 1), (RM, 4, 2, 2), (PRM, 4, 2, 2), (RM, 8, 1, 2),
               (PRM, 8, 1, 1), (RM, 16, 1, 2), (RM, 9, 1, 2), (PRM, 9, 1, 2),
-              (RM, 9, 2, 1), (RM, 25, 1, 1), (PRM, 27, 1, 1)]
+              (RM, 9, 2, 1), (RM, 25, 1, 1), (PRM, 27, 1, 1), (RM, 2, 6, 1)]
 
 
 @lru_cache(maxsize=None)
@@ -182,6 +186,28 @@ def test_exhaustive_scan_matches_nearest_codeword_search(code, planted, data):
         assert np.array_equal(ev(out.witness, m), out.codeword)
     else:
         assert not out.ok and out.failure == "BeyondRadius"
+
+
+def test_scan_codes_cover_both_scan_paths(monkeypatch):
+    # a block of at most _SCAN_AT_ONCE symbols is compared in one
+    # count_nonzero call, a larger one position by position; the property
+    # test above covers both only while SCAN_CODES holds blocks of each kind,
+    # one of them exactly at the bound
+    calls = []
+    count_nonzero = np.count_nonzero
+    monkeypatch.setattr(np, "count_nonzero",
+                        lambda *a, **kw: calls.append(1) or count_nonzero(*a, **kw))
+    at_once = {}
+    for code in SCAN_CODES:
+        spec, p, _ = scan_case(*code)
+        size = _codebook(spec)[1].size
+        calls.clear()
+        _scan_codewords(spec, spec.gf.zeros(p.n), p.T)
+        at_once[code] = bool(calls)
+        assert at_once[code] == (size <= _SCAN_AT_ONCE), (code, size)
+    assert set(at_once.values()) == {True, False}
+    assert _codebook(scan_case(RM, 2, 6, 1)[0])[1].size == _SCAN_AT_ONCE
+    assert at_once[(RM, 2, 6, 1)]
 
 
 def test_exhaustive_beyond_radius_explicit():
@@ -299,6 +325,31 @@ def test_split_syndrome_table_joins_heavy_patterns(q, m, d):
                 continue
             assert weight(gf.sub(r, out.codeword)) <= p.T
             assert np.array_equal(eval_affine(out.witness, m), out.codeword)
+
+
+@pytest.mark.parametrize("q,m,d", [(3, 3, 2), (5, 2, 3), (7, 2, 6), (4, 3, 5),
+                                   (5, 2, 4)])
+def test_syndrome_table_stores_join_syndromes(q, m, d):
+    # a join subtracts the syndromes of the classes 1..T-h, so those keep
+    # them as rows, keys // powers % q; heavier classes keep none.  On
+    # RM(3,2)/GF(3) that is the 54 x 17 rows of class 1, and PRM(2,4)/GF(5)'s
+    # RM(2,4) stores every class up to T, so it joins nothing
+    spec = spec_of(RM, q, m, d)
+    p = code_params(spec)
+    h = _stored_weights(q, p.n, p.T)
+    _, powers, classes = _syndrome_table(spec)
+    assert len(classes) == h
+    for w, cls in enumerate(classes, start=1):
+        keys, syns = cls[0], cls[5]
+        if w <= p.T - h:
+            assert syns.dtype == np.uint8
+            assert np.array_equal(syns, keys[:, None] // powers % q)
+        else:
+            assert syns is None
+    if (q, m, d) == (3, 3, 2):
+        assert classes[0][5].shape == (54, 17)
+    if (q, m, d) == (5, 2, 4):
+        assert h == p.T
 
 
 def route_of(spec, bound=DEFAULT_ENUM_BOUND):
@@ -811,6 +862,29 @@ def test_packed_witness_takes_one_or_two_bytes_an_element(q):
     assert np.array_equal(out.codeword, cw)
     assert pickle.loads(pickle.dumps(out)) == out
     assert len(out._packed) == len(vec) * (1 if q <= 256 else 2)
+
+
+def test_packed_success_is_no_larger_than_a_failure():
+    # a packed success keeps its code key and bytes in the codeword and
+    # witness slots it inherits, so it adds no slot of its own, and still
+    # pickles, compares and hashes by its code and bytes
+    gf = GF(3)
+    spec = CodeSpec(PRM, gf, 3, 2)
+    p = code_params(spec)
+    rng = np.random.default_rng(3)
+    cw, f = encode(spec, rng.integers(0, 3, size=p.k))
+    out = decode_prm_robust(gf, 3, 2, cw)
+    assert type(out) is not DecodeResult and out.ok
+    assert sys.getsizeof(out) <= sys.getsizeof(DecodeResult(None, None, "x"))
+    assert np.array_equal(out.codeword, cw) and out.witness == f
+    assert out.failure is None and out.codeword.dtype == DTYPE
+    copy = pickle.loads(pickle.dumps(out))
+    assert type(copy) is type(out) and copy == out and hash(copy) == hash(out)
+    assert np.array_equal(copy.codeword, cw) and copy.witness == f
+    assert out == decode_prm(gf, 3, 2, cw) and hash(out) == hash(decode_prm(gf, 3, 2, cw))
+    other, _ = encode(spec, rng.integers(0, 3, size=p.k))
+    assert out != decode_prm(gf, 3, 2, other)
+    assert out != DecodeResult.success(cw, f)
 
 
 def test_kept_line_results_stay_small():
