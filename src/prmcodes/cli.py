@@ -56,7 +56,11 @@ def _parse_vector(text):
 
 
 def _read_vector(path):
-    data = sys.stdin.read() if path == "-" else open(path).read()
+    if path == "-":
+        data = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            data = fh.read()
     for line in data.splitlines():
         if line.strip():
             return _parse_vector(line)

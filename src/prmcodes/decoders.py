@@ -31,11 +31,13 @@ Inside the recursion a witness is a coefficient vector over a cached monomial
 basis (affine_basis for the affine engines, projective_basis for a level's
 result).  The library's engines hand over the vector they compute; a
 registered engine's Poly is converted once, at the registry.  Homogenizing,
-embedding, lifting, reducing and splitting are index arrays on those vectors
-and evaluation is a vec_mat with the basis evaluation matrix.  A success
-returned by a library entry point keeps only its witness vector, packed in
-a byte string, and evaluates the codeword and builds a fresh witness Poly
-on each read; trace events get a Poly only when a trace list is passed.
+lifting and reducing are index arrays on those vectors, embedding is the
+suffix of the larger projective basis, splitting reads the degree-d
+positions of the affine basis, and evaluation is a vec_mat with the basis
+evaluation matrix.  A success returned by a library entry point keeps only
+its witness vector, packed in a byte string, and evaluates the codeword and
+builds a fresh witness Poly on each read; trace events get a Poly only when
+a trace list is passed.
 
 A received word is checked once, where it enters: decode_prm,
 decode_prm_robust, decode_exhaustive, decode_rs_affine and the default
@@ -66,9 +68,8 @@ from .codes import (PRM, RM, CodeSpec, NotInCodeError, _coefficients,
                     generator_matrix, prm_weight)
 from .geometry import num_projective_points
 from .gf import DTYPE
-from .poly import (Poly, _embed_map, _homogenize_map, _lift_map,
-                   _reduce_map, _split_map, affine_basis, embed_poly,
-                   projective_basis)
+from .poly import (Poly, _homogenize_map, _lift_map, _reduce_map,
+                   affine_basis, embed_poly, projective_basis, split_bad_good)
 
 BEYOND_RADIUS = "BeyondRadius"
 NOT_IN_CODE = "NotInCode"
@@ -83,12 +84,13 @@ _TABLE_PATTERNS = 2 ** 18  # syndrome-table size cap, unless ceil(T/2) classes h
 # large joins of RM(1,3) and RM(1,4)/GF(13); 173-201 while the join divided
 # each key back into symbols.  Within 64-256 the routes do not move
 _LOOKUP_STEP = 128
-# the most block symbols the codeword scan compares with the word in one
-# call: 1.2-9x faster than the row loop on every block of up to 2^13
-# symbols timed (4x on RM(3,1)/GF(3)'s 27 x 81); above that, blocks of a
-# few rows over thousands of words ran up to 1.7x slower, where the row
-# loop makes few calls, and RM(3,2)/GF(3)'s 27 x 59049 block 6x slower
-_SCAN_AT_ONCE = 2 ** 13
+# the most block words the codeword scan compares with the word in one call.
+# The row loop makes one call per position, so its cost follows the rows,
+# and the one call wins on blocks of few words however many rows they have:
+# 2-6x on RM(4,1)/GF(3)'s 81 x 243, RM(2,1)/GF(9)'s 81 x 729 and
+# RM(7,1)/GF(2)'s 128 x 256.  Every block of 4096 or more words timed was
+# as fast or faster on the loop, RM(1,3)/GF(13) 5x and RM(3,2)/GF(3) 6x
+_SCAN_AT_ONCE = 2 ** 10
 
 
 class EnumerationBoundError(RuntimeError):
@@ -187,7 +189,7 @@ class _Packed(DecodeResult):
     @property
     def witness(self):
         gf, m, mons, _ = self._code
-        return _poly(gf, m, mons, self._vector())
+        return Poly._of_vector(gf, m + 1, mons, self._vector())
 
     def __eq__(self, other):
         if type(other) is not _Packed:
@@ -219,12 +221,6 @@ def weight(vec):
 def _trace(trace, **event):
     if trace is not None:
         trace.append(event)
-
-
-def _poly(gf, m, mons, vec):
-    # the Poly in m+1 variables with coefficient vector vec over mons, which
-    # are interned basis monomials
-    return Poly._of_vector(gf, m + 1, mons, vec)
 
 
 @lru_cache(maxsize=None)
@@ -294,14 +290,14 @@ def _codebook(spec):
 
 def _scan_codewords(spec, r, cap_t):
     # nearest block word to r - offset, one offset at a time.  A block of at
-    # most _SCAN_AT_ONCE symbols is compared with r - offset in one call.  In
+    # most _SCAN_AT_ONCE words is compared with r - offset in one call.  In
     # a larger one the distance of every block word is counted position by
     # position in a counter that holds n, so each step is one compare and one
     # add over a contiguous row
     gf = spec.gf
     offsets, block = _codebook(spec)
     n, words = block.shape
-    at_once = block.size <= _SCAN_AT_ONCE
+    at_once = words <= _SCAN_AT_ONCE
     if not at_once:
         hit = np.empty(words, dtype=bool)
         dist = np.empty(words, dtype=np.min_scalar_type(n))
@@ -467,8 +463,8 @@ def decode_exhaustive(spec, r, bound=None):
     The codeword scan reads a cached position-major codebook of up to 2^16
     words, one byte per symbol for q <= 256 and two above, once per span
     word of the remaining leading generator rows; the codeword it returns
-    is in the field dtype, like every other result.  A codebook of at most
-    2^13 symbols is compared with the word in one call; a larger one
+    is in the field dtype, like every other result.  A codebook block of at
+    most 2^10 words is compared with the word in one call; a larger one
     position by position.
 
     The syndrome lookup stores the error patterns of weights 1..h only, the
@@ -789,11 +785,15 @@ def _level(gf, m, d):
     that the level's two branches decode.  The level's witness is a vector
     over projective_basis(m, d) and g, the PRM(m, d) evaluation matrix,
     evaluates it.  hom and low homogenize the RM(m, d) and RM(m, d-1)
-    witnesses into that basis and tail embeds the PRM(m-1, d) one.  For
-    d >= q, top holds the positions of the degree-d terms of the RM(m, d)
-    witness, top_tail their evaluations on the tail P^(m-1), and lift and
-    red carry the PRM(m-1, d-(q-1)) sub-witness into projective_basis(m, d)
-    (embed, then lift) and into affine_basis(m, d) (embed, then reduce).
+    witnesses into that basis.  tail, a slice, is where the PRM(m-1, d)
+    witness lands: projective_basis lists the x_0 block first, so the
+    embedded basis of P^(m-1) is its last len(projective_basis(m-1, d))
+    entries, in order.  For d >= q, top holds the positions of the degree-d
+    monomials of affine_basis(m, d), the good_top part of split_bad_good,
+    top_tail their evaluations on the tail P^(m-1), and lift and red carry
+    the PRM(m-1, d-(q-1)) sub-witness into projective_basis(m, d) (embed,
+    which is the same suffix of _lift_map, then lift) and into
+    affine_basis(m, d) (embed, then reduce).
     """
     q = gf.q
     g = _eval_matrix(gf, PRM, m, d)[1]
@@ -801,12 +801,13 @@ def _level(gf, m, d):
     top = top_tail = lift = red = None
     if d > q - 1:
         d0 = d - (q - 1)
-        top = _split_map(gf, m, d).good_top
+        top = np.flatnonzero([sum(mon) == d for mon in affine_basis(gf, m, d)])
         top_tail = g[hom[top], q ** m:]
-        lift = _lift_map(gf, m, d0, d)[_embed_map(gf, m, d0)]
+        lift = _lift_map(gf, m, d0, d)[-len(projective_basis(gf, m - 1, d0)):]
         red = _reduce_map(gf, m, d0, d)
     return _Level(CodeSpec(RM, gf, m, d), CodeSpec(RM, gf, m, d - 1), g, hom,
-                  _homogenize_map(gf, m, d - 1, d), _embed_map(gf, m, d),
+                  _homogenize_map(gf, m, d - 1, d),
+                  slice(-len(projective_basis(gf, m - 1, d)), None),
                   top, top_tail, lift, red)
 
 
@@ -854,15 +855,14 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
         if d <= q - 1:
             f = _scatter(gf, k, (lv.hom, f0))
         else:
+            d0 = d - (q - 1)
             if trace is not None:
-                mons = affine_basis(gf, m, d)
-                bad, top, low = (_poly(gf, m, [mons[i] for i in idx], f0[idx])
-                                 for idx in _split_map(gf, m, d))
-                trace.append(dict(event="split", m=m, d=d, bad=bad,
-                                  good_top=top, good_low=low))
+                split = split_bad_good(
+                    Poly._of_vector(gf, m + 1, affine_basis(gf, m, d), f0), d)
+                trace.append(dict(event="split", m=m, d=d, **split._asdict()))
             c_good = linalg.vec_mat(gf, f0[lv.top], lv.top_tail)
-            sub = _decode_level(gf, m - 1, d - (q - 1), gf.sub(r2, c_good),
-                                decoders, strict, trace)
+            sub = _decode_level(gf, m - 1, d0, gf.sub(r2, c_good), decoders, strict,
+                                trace)
             if sub.ok:
                 # f = homogenize(g0) + lift(f_sub) + good_top with g0 the
                 # reduction of f0 - f_sub - good_top, whose degree is below d;
@@ -873,17 +873,19 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
                 if trace is not None:
                     g0 = h.copy()
                     g0[lv.top] = 0
-                    f_sub = _poly(gf, m - 1, projective_basis(gf, m - 1, d - (q - 1)),
-                                  sub.witness)
+                    f_sub = Poly._of_vector(gf, m, projective_basis(gf, m - 1, d0),
+                                            sub.witness)
+                    g0 = Poly._of_vector(gf, m + 1, affine_basis(gf, m, d), g0)
                     trace.append(dict(event="residue", m=m, d=d, f_sub=embed_poly(f_sub),
-                                      g0=_poly(gf, m, affine_basis(gf, m, d), g0)))
+                                      g0=g0))
                 f = _scatter(gf, k, (lv.hom, h), (lv.lift, sub.witness))
         if f is not None:
             cand = linalg.vec_mat(gf, f, lv.g)
             if 2 * weight(gf.sub(r, cand)) < wt:
                 if trace is not None:
-                    trace.append(dict(event="accept", part="first", m=m, d=d,
-                                      f=_poly(gf, m, projective_basis(gf, m, d), f)))
+                    trace.append(dict(
+                        event="accept", part="first", m=m, d=d,
+                        f=Poly._of_vector(gf, m + 1, projective_basis(gf, m, d), f)))
                 return _Evaluated.success(cand, f)
             _trace(trace, event="reject", part="first", m=m, d=d)
 
@@ -892,8 +894,8 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
     if trace is not None:
         g = None
         if second.ok:
-            g = embed_poly(_poly(gf, m - 1, projective_basis(gf, m - 1, d),
-                                 second.witness))
+            g = embed_poly(Poly._of_vector(gf, m, projective_basis(gf, m - 1, d),
+                                           second.witness))
         trace.append(dict(event="tail", m=m, d=d, ok=second.ok,
                           v=second.codeword, g=g))
     if not second.ok:
@@ -905,7 +907,7 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
     if trace is not None:
         f_low = None
         if aff.ok:
-            f_low = _poly(gf, m, affine_basis(gf, m, d - 1), aff.witness)
+            f_low = Poly._of_vector(gf, m + 1, affine_basis(gf, m, d - 1), aff.witness)
         trace.append(dict(event="affine", part="second", m=m, d=d - 1,
                           ok=aff.ok, u=aff.codeword, f_low=f_low, engine=engine))
     if not aff.ok:
@@ -913,8 +915,9 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
     f = _scatter(gf, k, (lv.low, aff.witness), (lv.tail, second.witness))
     cw = np.concatenate([gf.add(aff.codeword, vxd), v])
     if trace is not None:
-        trace.append(dict(event="accept", part="second", m=m, d=d,
-                          f=_poly(gf, m, projective_basis(gf, m, d), f)))
+        trace.append(dict(
+            event="accept", part="second", m=m, d=d,
+            f=Poly._of_vector(gf, m + 1, projective_basis(gf, m, d), f)))
     return DecodeResult.success(cw, f)
 
 

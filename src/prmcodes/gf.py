@@ -16,11 +16,20 @@ primitive root mod p for prime fields.  All elements are ordered as
 elementwise: prime fields by integer arithmetic mod p, extension fields by
 gathers from q x q tables, except that on GF(2^e) adding and subtracting
 are both the XOR of the encodings (the base-2 digits add without carry), so
-``add``/``sub``/``neg`` need no table there.  On every field scalars, numpy
-scalars included, come back as Python ints; an XOR keeps the dtype of its
-array operands.
-``_sum`` adds an array down its first axis in one pass (an integer sum mod
-p, an XOR reduction for p = 2, a base-p digit sum otherwise).  With it,
+``add``/``sub``/``neg`` need no table there.  ``add`` and ``sub`` (and
+``neg``, which is ``sub(0, a)``) evaluate one expression for scalars and
+arrays alike and turn a result that is not an array into a Python int;
+``mul`` keeps a branch of plain integer arithmetic for scalars, which a
+numpy product of two scalars costs several times over, and widens
+prime-field arrays to int64.  On every field scalars, numpy scalars
+included, come back as Python ints; an XOR keeps the dtype of its array
+operands.  numpy operands are added and subtracted in their promoted
+dtype, so an unsigned scalar or array narrower than int32 can wrap when it
+meets only a Python int or another narrow operand; the library pairs each
+narrow array with an int32 one.
+``_sum`` adds an array down its first axis in one pass on an extension
+field (an XOR reduction for p = 2, a base-p digit sum otherwise); prime
+fields sum inside ``linalg.vec_mat``'s integer matmul.  With it,
 and with products taken in the log domain through the log/antilog tables,
 vector-matrix products and polynomial evaluation run without per-row
 Python loops.  The product table ``_mul_table`` is C-contiguous, so its
@@ -57,17 +66,6 @@ MAX_Q = 2 ** 16
 DTYPE = np.int32
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def _prime_factors(n):
     out = []
     i = 2
@@ -80,6 +78,11 @@ def _prime_factors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def _plain(x):
+    # a field op's result: an array as it is, a scalar as a Python int
+    return x if isinstance(x, np.ndarray) else int(x)
 
 
 def _smallest_primitive_root(p):
@@ -109,7 +112,7 @@ class GF:
     """
 
     def __init__(self, p, e=1):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ValueError(f"p = {p} is not prime")
         if e < 1:
             raise ValueError(f"e = {e} must be >= 1")
@@ -149,8 +152,6 @@ class GF:
         while q % p == 0:
             q //= p
             e += 1
-        if q != 1:
-            raise ValueError("q is not a prime power")
         return cls(p, e)
 
     # -- construction helpers ------------------------------------------------
@@ -223,22 +224,14 @@ class GF:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            if self.e == 1:
-                return (a + b) % self.p
-            return a ^ b if self.p == 2 else self._add_table[a, b]
         if self.e == 1:
-            return (int(a) + int(b)) % self.p
-        return int(a) ^ int(b) if self.p == 2 else int(self._add_table[a, b])
+            return _plain((a + b) % self.p)
+        return _plain(a ^ b if self.p == 2 else self._add_table[a, b])
 
     def sub(self, a, b):
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            if self.e == 1:
-                return (a - b) % self.p
-            return a ^ b if self.p == 2 else self._sub_table[a, b]
         if self.e == 1:
-            return (int(a) - int(b)) % self.p
-        return int(a) ^ int(b) if self.p == 2 else int(self._sub_table[a, b])
+            return _plain((a - b) % self.p)
+        return _plain(a ^ b if self.p == 2 else self._sub_table[a, b])
 
     def neg(self, a):
         return self.sub(0, a)
@@ -272,9 +265,8 @@ class GF:
         return int(self.antilog_table[(int(self.log_table[a]) * k) % (self.q - 1)])
 
     def _sum(self, arr):
-        """Field sum of a numpy array of encodings down axis 0."""
-        if self.e == 1:
-            return (arr.sum(axis=0, dtype=np.int64) % self.p).astype(DTYPE)
+        """Field sum of a numpy array of encodings down axis 0, on GF(p^e)
+        with e >= 2 (vec_mat sums prime fields in its matmul)."""
         if self.p == 2:
             return np.bitwise_xor.reduce(arr, axis=0).astype(DTYPE, copy=False)
         # odd p: add the base-p digits of the elements separately

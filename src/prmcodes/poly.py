@@ -14,12 +14,16 @@ a module-wide table, so the many polynomials a decode returns over the same
 monomials hold one tuple object per monomial rather than one per term.
 
 The recursive decoder does not build Polys as it goes: its witnesses are
-coefficient vectors over the monomial bases below, and the ring maps act on
-them as cached index arrays (`_homogenize_map` and its siblings), which the
-tests hold to the Poly maps here.  A vector over a basis evaluates as a
-`linalg.vec_mat` with the matrix of the basis monomials' values.  A Poly
-is built from such a vector only when a witness is read or traced; the
-decoders keep a returned witness packed until then.
+coefficient vectors over the monomial bases below, and three ring maps act on
+them as cached index arrays, `_homogenize_map`, `_lift_map` and
+`_reduce_map`, which the tests hold to the Poly maps here.  Two more need no
+array of their own.  projective_basis lists the x_0 block first, so
+embed_poly sends projective_basis(m-1, d), in order, onto the last entries
+of projective_basis(m, d).  The good_top part of split_bad_good is the
+positions of the degree-d monomials of affine_basis(m, d).  A vector over a
+basis evaluates as a `linalg.vec_mat` with the matrix of the basis
+monomials' values.  A Poly is built from such a vector only when a witness
+is read or traced; the decoders keep a returned witness packed until then.
 """
 
 import re
@@ -441,13 +445,6 @@ def _homogenize_map(gf, m, d0, d):
 
 
 @lru_cache(maxsize=None)
-def _embed_map(gf, m, d):
-    """projective_basis(m-1, d) into projective_basis(m, d), as embed_poly."""
-    return _index_map(projective_basis(gf, m - 1, d), projective_basis(gf, m, d),
-                      lambda mon: (0,) + mon)
-
-
-@lru_cache(maxsize=None)
 def _lift_map(gf, m, d0, d):
     """projective_basis(m, d0) into projective_basis(m, d), as lift_to_degree."""
     def lift(mon):
@@ -463,26 +460,6 @@ def _reduce_map(gf, m, d0, d):
     r = gf.q - 1
     return _index_map(projective_basis(gf, m - 1, d0), affine_basis(gf, m, d),
                       lambda mon: (0,) + tuple((e - 1) % r + 1 if e else 0 for e in mon))
-
-
-@lru_cache(maxsize=None)
-def _split_map(gf, m, d):
-    """BadGoodSplit of the positions in affine_basis(m, d) whose terms
-    split_bad_good sends to each part."""
-    r = gf.q - 1
-    bad, top, low = [], [], []
-    for i, mon in enumerate(affine_basis(gf, m, d)):
-        t = sum(mon)
-        if t == d:
-            top.append(i)
-        elif 0 < t and (d - t) % r == 0:
-            bad.append(i)
-        else:
-            low.append(i)
-    split = BadGoodSplit(*(np.array(p, dtype=np.intp) for p in (bad, top, low)))
-    for idx in split:
-        idx.setflags(write=False)
-    return split
 
 
 # --- text form ---

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from prmcodes import linalg
-from prmcodes.codes import (PRM, RM, CodeSpec, NotInCodeError, basis_monomials,
-                            code_params, encode, eta, generator_matrix,
-                            interpolate, interpolate_family, prm_dimension,
-                            prm_weight, replicate_scaled, rm_dimension,
-                            rm_weight)
+from prmcodes.codes import (PRM, RM, CodeSpec, NotInCodeError, _solver,
+                            basis_monomials, code_params, encode, eta,
+                            generator_matrix, interpolate, interpolate_family,
+                            prm_dimension, prm_weight, replicate_scaled,
+                            rm_dimension, rm_weight)
 from prmcodes.gf import GF
 from prmcodes.poly import embed_poly, eval_projective
 
@@ -263,6 +263,32 @@ def test_interpolate_extended_degree():
     r = gf.asarray([0, 0, 0, 1, 1])
     f = interpolate_family(gf, PRM, 1, 4, r)
     assert np.array_equal(eval_projective(f, 1), r)
+
+
+@pytest.mark.parametrize("family", [RM, PRM])
+@pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
+def test_solver_matches_two_step_elimination(family, q):
+    # one elimination of [g | I] gives the pivots of g and the inverse of
+    # its pivot columns, as reducing g and then [g[:, pivots] | I] does;
+    # degrees below, at and above q-1
+    gf = GF.from_order(q)
+    for d in (1, q - 1, q, 2 * (q - 1)):
+        g, pivots, inv = _solver(gf, family, 2, d)
+        k = len(g)
+        _, want_pivots = linalg.row_reduce(gf, g)
+        aug, _ = linalg.row_reduce(gf, np.hstack([g[:, want_pivots],
+                                                  np.eye(k, dtype=g.dtype)]))
+        assert pivots == want_pivots and len(pivots) == k
+        assert np.array_equal(inv, aug[:, k:])
+
+
+def test_solver_rejects_a_dependent_basis(monkeypatch):
+    # a basis whose evaluations are dependent leaves a pivot of [g | I] in I
+    gf = GF(3)
+    g = gf.asarray([[1, 2, 0], [2, 1, 0]])
+    monkeypatch.setattr("prmcodes.codes._eval_matrix", lambda *key: ((), g))
+    with pytest.raises(AssertionError, match="dependent"):
+        _solver.__wrapped__(gf, RM, 1, 1)
 
 
 # --- the recursive construction's building blocks ---

@@ -146,12 +146,13 @@ def test_exhaustive_scan_counter_holds_n():
 
 # codes on the codeword-scan route with q^k <= 2^12: prime fields, GF(2^e)
 # and odd-characteristic extension fields, with blocks on both sides of
-# _SCAN_AT_ONCE; RM(6,1)/GF(2)'s 64 x 128 block is exactly 2^13 symbols
+# _SCAN_AT_ONCE; RM(1,1)/GF(32)'s 32 x 1024 block is exactly 2^10 words
 SCAN_CODES = [(RM, 3, 2, 1), (PRM, 3, 2, 1), (RM, 7, 1, 2), (PRM, 5, 1, 1),
               (RM, 5, 2, 1), (PRM, 7, 2, 1), (RM, 2, 4, 1), (PRM, 2, 3, 1),
               (RM, 4, 2, 1), (RM, 4, 2, 2), (PRM, 4, 2, 2), (RM, 8, 1, 2),
               (PRM, 8, 1, 1), (RM, 16, 1, 2), (RM, 9, 1, 2), (PRM, 9, 1, 2),
-              (RM, 9, 2, 1), (RM, 25, 1, 1), (PRM, 27, 1, 1), (RM, 2, 6, 1)]
+              (RM, 9, 2, 1), (RM, 25, 1, 1), (PRM, 27, 1, 1), (RM, 2, 6, 1),
+              (RM, 32, 1, 1)]
 
 
 @lru_cache(maxsize=None)
@@ -189,7 +190,7 @@ def test_exhaustive_scan_matches_nearest_codeword_search(code, planted, data):
 
 
 def test_scan_codes_cover_both_scan_paths(monkeypatch):
-    # a block of at most _SCAN_AT_ONCE symbols is compared in one
+    # a block of at most _SCAN_AT_ONCE words is compared in one
     # count_nonzero call, a larger one position by position; the property
     # test above covers both only while SCAN_CODES holds blocks of each kind,
     # one of them exactly at the bound
@@ -200,14 +201,14 @@ def test_scan_codes_cover_both_scan_paths(monkeypatch):
     at_once = {}
     for code in SCAN_CODES:
         spec, p, _ = scan_case(*code)
-        size = _codebook(spec)[1].size
+        words = _codebook(spec)[1].shape[1]
         calls.clear()
         _scan_codewords(spec, spec.gf.zeros(p.n), p.T)
         at_once[code] = bool(calls)
-        assert at_once[code] == (size <= _SCAN_AT_ONCE), (code, size)
+        assert at_once[code] == (words <= _SCAN_AT_ONCE), (code, words)
     assert set(at_once.values()) == {True, False}
-    assert _codebook(scan_case(RM, 2, 6, 1)[0])[1].size == _SCAN_AT_ONCE
-    assert at_once[(RM, 2, 6, 1)]
+    assert _codebook(scan_case(RM, 32, 1, 1)[0])[1].shape[1] == _SCAN_AT_ONCE
+    assert at_once[(RM, 32, 1, 1)]
 
 
 def test_exhaustive_beyond_radius_explicit():

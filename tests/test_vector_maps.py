@@ -2,18 +2,21 @@
 between monomial bases, against the ring maps of poly they stand for: on
 random coefficient vectors over the source basis, moving each coefficient to
 its mapped position in the target basis must give exactly the polynomial the
-ring map gives.  Prime fields, GF(2^e) and GF(9); degrees below, at and above
-q-1 (where the decoder splits); lifts to degrees far past 2^64."""
+ring map gives.  The same holds for the two positions a decoder level reads
+off the bases, its tail slice (embed_poly) and its top positions (the
+good_top part of split_bad_good).  Prime fields, GF(2^e) and GF(9); degrees
+below, at and above q-1 (where the decoder splits); lifts to degrees far
+past 2^64."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prmcodes.decoders import _level
 from prmcodes.gf import GF
-from prmcodes.poly import (Poly, _embed_map, _homogenize_map, _lift_map,
-                           _reduce_map, _split_map, affine_basis, embed_poly,
-                           homogenize, lift_to_degree, projective_basis,
-                           reduce_mod_affine, split_bad_good)
+from prmcodes.poly import (Poly, _homogenize_map, _lift_map, _reduce_map,
+                           affine_basis, embed_poly, homogenize, lift_to_degree,
+                           projective_basis, reduce_mod_affine, split_bad_good)
 
 ORDERS = (2, 3, 5, 7, 4, 8, 9)
 FIELDS = {q: GF.from_order(q) for q in ORDERS}
@@ -68,11 +71,13 @@ def test_homogenize_map(level, data):
 @settings(max_examples=150, deadline=None)
 @given(levels(), st.data())
 def test_embed_map(level, data):
+    # the tail witness lands on the suffix of the level's basis
     gf, m, d = level
     src, dst = projective_basis(gf, m - 1, d), projective_basis(gf, m, d)
     coeffs = coeffs_over(data.draw, gf, src)
     want = embed_poly(poly_of(gf, m, src, coeffs))
-    assert moved(gf, m + 1, _embed_map(gf, m, d), coeffs, dst) == want
+    tail = np.arange(len(dst))[_level(gf, m, d).tail]
+    assert moved(gf, m + 1, tail, coeffs, dst) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -102,13 +107,18 @@ def test_reduce_map(level, data):
 
 @settings(max_examples=150, deadline=None)
 @given(levels(), st.data())
-def test_split_map(level, data):
+def test_level_top_is_good_top(level, data):
+    # for d >= q, top is the positions of split_bad_good's good_top terms, in
+    # basis order; below, the level does not split
     gf, m, d = level
+    top = _level(gf, m, d).top
+    if d < gf.q:
+        assert top is None
+        return
     mons = affine_basis(gf, m, d)
+    every = split_bad_good(poly_of(gf, m + 1, mons, [1] * len(mons)), d)
+    assert [mons[i] for i in top] == list(every.good_top.terms)
     coeffs = coeffs_over(data.draw, gf, mons)
-    want = split_bad_good(poly_of(gf, m + 1, mons, coeffs), d)
-    parts = _split_map(gf, m, d)
-    assert sorted(np.concatenate(parts).tolist()) == list(range(len(mons)))
-    for idx, part in zip(parts, want):
-        assert poly_of(gf, m + 1, [mons[i] for i in idx],
-                       [coeffs[i] for i in idx]) == part
+    want = split_bad_good(poly_of(gf, m + 1, mons, coeffs), d).good_top
+    assert poly_of(gf, m + 1, [mons[i] for i in top],
+                   [coeffs[i] for i in top]) == want
