@@ -14,6 +14,7 @@ code too large for the exhaustive affine engine), 64 usage error.
 """
 
 import argparse
+import pathlib
 import sys
 import time
 from dataclasses import dataclass
@@ -56,11 +57,7 @@ def _parse_vector(text):
 
 
 def _read_vector(path):
-    if path == "-":
-        data = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            data = fh.read()
+    data = sys.stdin.read() if path == "-" else pathlib.Path(path).read_text()
     for line in data.splitlines():
         if line.strip():
             return _parse_vector(line)

@@ -235,12 +235,12 @@ def encode(spec, message):
 @lru_cache(maxsize=None)
 def _solver(gf, family, m, d):
     # one elimination of [g | I]: its pivots in g's n columns are g's own, and
-    # where g has full rank, which is k pivots all below n, the right block
-    # is E with E g the rref of g, so E inverts the pivot columns g[:, pivots]
+    # where g has full rank, which is its k pivots all below n, the right
+    # block is E with E g the rref of g, so E inverts g[:, pivots]
     g = _eval_matrix(gf, family, m, d)[1]
     k, n = g.shape
     aug, pivots = linalg.row_reduce(gf, np.hstack([g, np.eye(k, dtype=g.dtype)]))
-    if len(pivots) != k or pivots[-1] >= n:
+    if pivots[-1] >= n:
         raise AssertionError(f"monomial basis is dependent: {family} m={m} d={d}")
     return g, pivots, aug[:, n:]
 

@@ -802,6 +802,7 @@ def _level(gf, m, d):
     if d > q - 1:
         d0 = d - (q - 1)
         top = np.flatnonzero([sum(mon) == d for mon in affine_basis(gf, m, d)])
+        top.setflags(write=False)
         top_tail = g[hom[top], q ** m:]
         lift = _lift_map(gf, m, d0, d)[-len(projective_basis(gf, m - 1, d0)):]
         red = _reduce_map(gf, m, d0, d)

@@ -18,15 +18,16 @@ gathers from q x q tables, except that on GF(2^e) adding and subtracting
 are both the XOR of the encodings (the base-2 digits add without carry), so
 ``add``/``sub``/``neg`` need no table there.  ``add`` and ``sub`` (and
 ``neg``, which is ``sub(0, a)``) evaluate one expression for scalars and
-arrays alike and turn a result that is not an array into a Python int;
+arrays alike: two scalars first become Python ints, so a narrow numpy
+scalar cannot wrap, and a table read of scalars is turned back into one.
 ``mul`` keeps a branch of plain integer arithmetic for scalars, which a
 numpy product of two scalars costs several times over, and widens
 prime-field arrays to int64.  On every field scalars, numpy scalars
 included, come back as Python ints; an XOR keeps the dtype of its array
-operands.  numpy operands are added and subtracted in their promoted
-dtype, so an unsigned scalar or array narrower than int32 can wrap when it
-meets only a Python int or another narrow operand; the library pairs each
-narrow array with an int32 one.
+operands.  Arrays are added and subtracted in their promoted dtype, so an
+unsigned array narrower than int32 can wrap when it meets only a Python
+int or another narrow operand; the library pairs each narrow array with an
+int32 one.
 ``_sum`` adds an array down its first axis in one pass on an extension
 field (an XOR reduction for p = 2, a base-p digit sum otherwise); prime
 fields sum inside ``linalg.vec_mat``'s integer matmul.  With it,
@@ -224,14 +225,18 @@ class GF:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a, b):
+        if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
+            a, b = int(a), int(b)  # numpy scalars would wrap in a narrow dtype
         if self.e == 1:
-            return _plain((a + b) % self.p)
-        return _plain(a ^ b if self.p == 2 else self._add_table[a, b])
+            return (a + b) % self.p
+        return a ^ b if self.p == 2 else _plain(self._add_table[a, b])
 
     def sub(self, a, b):
+        if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
+            a, b = int(a), int(b)  # numpy scalars would wrap in a narrow dtype
         if self.e == 1:
-            return _plain((a - b) % self.p)
-        return _plain(a ^ b if self.p == 2 else self._sub_table[a, b])
+            return (a - b) % self.p
+        return a ^ b if self.p == 2 else _plain(self._sub_table[a, b])
 
     def neg(self, a):
         return self.sub(0, a)

@@ -171,6 +171,27 @@ def test_array_ops_match_scalars():
                 assert out.dtype == np.uint8
 
 
+def test_narrow_numpy_scalars_do_not_wrap():
+    # a numpy scalar narrower than int32 gives the Python-int result on every
+    # field kind, also where its own dtype would wrap (0 - 3 in uint8)
+    assert GF(5).neg(np.uint8(3)) == 2
+    assert GF(5).sub(np.uint8(0), 3) == 2
+    assert GF(127).add(np.int8(126), 126) == 125
+    for gf in (GF(5), GF(127), GF(251), GF(2, 7), GF(3, 2), GF(3, 3)):
+        types = [t for t in (np.uint8, np.int8, np.uint16, np.int16)
+                 if gf.q - 1 <= np.iinfo(t).max]
+        elems = sorted({0, 1, 2, gf.q // 2, gf.q - 2, gf.q - 1})
+        for op in (gf.add, gf.sub, gf.mul):
+            for t in types:
+                for a in elems:
+                    for b in elems:
+                        for x, y in ((t(a), b), (a, t(b)), (t(a), t(b))):
+                            out = op(x, y)
+                            assert type(out) is int and out == op(a, b)
+        for t in types:
+            assert all(gf.neg(t(a)) == gf.neg(a) for a in elems)
+
+
 def test_large_prime_no_overflow():
     # products near 2^32 must not wrap in the int32 representation
     gf = GF(65521)

@@ -109,12 +109,14 @@ def test_reduce_map(level, data):
 @given(levels(), st.data())
 def test_level_top_is_good_top(level, data):
     # for d >= q, top is the positions of split_bad_good's good_top terms, in
-    # basis order; below, the level does not split
+    # basis order, and read-only like the other cached maps; below, the level
+    # does not split
     gf, m, d = level
     top = _level(gf, m, d).top
     if d < gf.q:
         assert top is None
         return
+    assert not top.flags.writeable
     mons = affine_basis(gf, m, d)
     every = split_bad_good(poly_of(gf, m + 1, mons, [1] * len(mons)), d)
     assert [mons[i] for i in top] == list(every.good_top.terms)
