@@ -17,7 +17,7 @@ import argparse
 import pathlib
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,6 +76,16 @@ def _family(name):
     return PRM if name.lower() == "prm" else RM
 
 
+# the recursion each --alg name runs: strict or robust
+_ALGS = {"alg1": decode_prm, "alg2": decode_prm_robust}
+
+
+def _decoders(args):
+    # the affine decoders --decoder names: the default registry, or the
+    # exhaustive engine at every level
+    return exhaustive_decoders() if args.decoder == "exhaustive" else None
+
+
 # --- subcommands ---
 
 def cmd_params(args):
@@ -123,9 +133,7 @@ def cmd_encode(args):
 def cmd_decode(args):
     gf = GF.from_order(args.q)
     r = _read_vector(args.infile)
-    decoders = exhaustive_decoders() if args.decoder == "exhaustive" else None
-    run = decode_prm if args.alg == "alg1" else decode_prm_robust
-    out = run(gf, args.m, args.d, r, decoders=decoders)
+    out = _ALGS[args.alg](gf, args.m, args.d, r, decoders=_decoders(args))
     if not out.ok:
         print(f"decode failed: {out.failure}", file=sys.stderr)
         return EXIT_DECODE_FAIL
@@ -146,13 +154,11 @@ class SimReport:
     seed: int
     elapsed_ms: int
 
-    HEADER = ("q,m,d,error_weight,trials,successes,failures,"
-              "wrong_decodings,seed,elapsed_ms")
-
     def csv_row(self):
-        return (f"{self.q},{self.m},{self.d},{self.error_weight},"
-                f"{self.trials},{self.successes},{self.failures},"
-                f"{self.wrong_decodings},{self.seed},{self.elapsed_ms}")
+        return ",".join(str(getattr(self, field.name)) for field in fields(self))
+
+
+SimReport.HEADER = ",".join(field.name for field in fields(SimReport))
 
 
 def run_simulation(gf, m, d, error_weight, trials, seed, alg="alg1",
@@ -160,8 +166,11 @@ def run_simulation(gf, m, d, error_weight, trials, seed, alg="alg1",
     """Random codeword + random weight-w error, decode, tally outcomes.
 
     Per-trial generators are seeded from (seed, trial index), so the tallies
-    do not depend on execution order.
+    do not depend on execution order.  alg names the recursion as --alg
+    does, "alg1" strict and "alg2" robust; any other name raises ValueError.
     """
+    if alg not in _ALGS:
+        raise ValueError(f"unknown algorithm {alg!r}, expected one of {', '.join(_ALGS)}")
     spec = CodeSpec(PRM, gf, m, d)
     params = code_params(spec)
     if error_weight < 0:
@@ -170,7 +179,7 @@ def run_simulation(gf, m, d, error_weight, trials, seed, alg="alg1",
         raise ValueError(f"error weight {error_weight} exceeds n = {params.n}")
     if trials < 0:
         raise ValueError(f"trial count {trials} is negative")
-    run = decode_prm if alg == "alg1" else decode_prm_robust
+    run = _ALGS[alg]
     successes = failures = wrong = 0
     started = time.perf_counter()
     for i in range(trials):
@@ -195,9 +204,8 @@ def run_simulation(gf, m, d, error_weight, trials, seed, alg="alg1",
 
 def cmd_simulate(args):
     gf = GF.from_order(args.q)
-    decoders = exhaustive_decoders() if args.decoder == "exhaustive" else None
     report = run_simulation(gf, args.m, args.d, args.errors, args.trials,
-                            args.seed, args.alg, decoders)
+                            args.seed, args.alg, _decoders(args))
     _emit(SimReport.HEADER + "\n" + report.csv_row(), args.out)
     return EXIT_OK
 
@@ -336,6 +344,13 @@ def _add_code_args(sp, family=True):
                         help="code family (default prm)")
 
 
+def _add_decode_args(sp):
+    sp.add_argument("--alg", choices=list(_ALGS), default="alg1",
+                    help="strict (alg1) or robust (alg2) recursion")
+    sp.add_argument("--decoder", choices=["auto", "exhaustive"], default="auto",
+                    help="affine decoder selection")
+
+
 def _build_parser():
     top = _Parser(prog="prmcodes",
                   description="projective Reed-Muller codes: parameters, "
@@ -361,10 +376,7 @@ def _build_parser():
     _add_code_args(sp, family=False)
     sp.add_argument("--in", dest="infile", required=True,
                     help="file with one comma-separated word, or - for stdin")
-    sp.add_argument("--alg", choices=["alg1", "alg2"], default="alg1",
-                    help="strict (alg1) or robust (alg2) recursion")
-    sp.add_argument("--decoder", choices=["auto", "exhaustive"], default="auto",
-                    help="affine decoder selection")
+    _add_decode_args(sp)
     sp.add_argument("--out")
     sp.set_defaults(handler=cmd_decode)
 
@@ -373,8 +385,7 @@ def _build_parser():
     sp.add_argument("--errors", type=int, required=True, help="error weight per trial")
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--alg", choices=["alg1", "alg2"], default="alg1")
-    sp.add_argument("--decoder", choices=["auto", "exhaustive"], default="auto")
+    _add_decode_args(sp)
     sp.add_argument("--out")
     sp.set_defaults(handler=cmd_simulate)
 

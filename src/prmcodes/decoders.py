@@ -9,6 +9,10 @@ the bounded-distance contract can be registered per (m, d):
     wt(e) <= floor((wt-1)/2), Success(c, f), eval_affine(f, m) = c, f reduced
     of degree <= d.  Codes with wt 1 accept exactly the codewords.
 
+The recursion keeps only f and evaluates it itself, so the registry checks
+each Success of a registered decoder once: a term of f outside the basis,
+or a c other than eval_affine(f, m), raises ValueError.
+
 The projective line, the [q+1, d+1, q-d+1] code, is level m = 1 of the same
 recursion; its affine engine is Gao's Reed-Solomon decoder.  That decoder's
 partial Euclid keeps each remainder and its cofactor as the two columns of
@@ -23,8 +27,9 @@ decode_rs_affine).
 Each affine call chooses its engine once.  AffineDecoders resolves every
 decoder it holds to a chooser when it is given one; at each call the
 chooser names an engine (scan, syndrome, member, rs or registered) and
-hands over its vector form, and the recursion runs that engine and names
-it in the call's trace event.  The exhaustive decoder's routes, and the
+hands over its vector engine, which returns the witness vector alone, or
+None beyond the radius, and the recursion runs that engine and names it in
+the call's trace event.  The exhaustive decoder's routes, and the
 rule that picks one, are those of decode_exhaustive.
 
 Inside the recursion a witness is a coefficient vector over a cached monomial
@@ -34,10 +39,13 @@ registered engine's Poly is converted once, at the registry.  Homogenizing,
 lifting and reducing are index arrays on those vectors, embedding is the
 suffix of the larger projective basis, splitting reads the degree-d
 positions of the affine basis, and evaluation is a vec_mat with the basis
-evaluation matrix.  A success returned by a library entry point keeps only
-its witness vector, packed in a byte string, and evaluates the codeword and
-builds a fresh witness Poly on each read; trace events get a Poly only when
-a trace list is passed.
+evaluation matrix.  A level's codeword is its witness evaluated, in either
+branch: a first-branch accept is the candidate it measured against the
+word, and the second branch evaluates the witness it assembles.  A success
+returned by a library entry point keeps only its witness vector, packed in
+a byte string, and evaluates the codeword and builds a fresh witness Poly
+on each read; trace events get a Poly, and a second-branch event its chart
+codeword u, only when a trace list is passed.
 
 A received word is checked once, where it enters: decode_prm,
 decode_prm_robust, decode_exhaustive, decode_rs_affine and the default
@@ -121,6 +129,10 @@ class DecodeResult:
     codeword and witness as given; two of them are equal when their
     codewords hold the same values (np.array_equal) and their witnesses and
     failure kinds are equal.  A packed result never equals an unpacked one.
+    Inside the recursion a level's result is a DecodeResult too, a success
+    holding its codeword and witness vector or a failure of its kind; the
+    affine engines it runs return a bare witness vector, or None, not a
+    DecodeResult.
     """
     codeword: object
     witness: object
@@ -207,12 +219,6 @@ class _Packed(DecodeResult):
         return _Packed, (self._code, self._packed)
 
 
-class _Evaluated(DecodeResult):
-    # a success of the recursion whose codeword is its witness evaluated over
-    # the code (a first-branch accept), which _decode_entry need not check
-    __slots__ = ()
-
-
 def weight(vec):
     """Hamming weight."""
     return int(np.count_nonzero(np.asarray(vec)))
@@ -235,11 +241,9 @@ def _narrow_dtype(q):
     return np.uint8 if q <= 256 else np.uint16
 
 
-def _pack(out, gf, family, m, d):
-    # a result of the code whose witness is a vector over the basis, packed
-    if not out.ok:
-        return out
-    packed = out.witness.astype(_narrow_dtype(gf.q)).tobytes()
+def _pack(vec, gf, family, m, d):
+    # the success of the code whose witness is vec, a vector over the basis
+    packed = vec.astype(_narrow_dtype(gf.q)).tobytes()
     return _Packed(_code_key(gf, family, m, d), packed)
 
 
@@ -425,20 +429,22 @@ def _interpolate(spec, c):
 def _decode_member(spec, r):
     # radius 0: exactly the codewords decode
     try:
-        return DecodeResult.success(r.copy(), _interpolate(spec, r))
+        return _interpolate(spec, r)
     except NotInCodeError:
-        return DecodeResult.fail(BEYOND_RADIUS)
+        return None
 
 
 def _affine_entry(spec, r, choose, *args):
     # a public affine decoder: check the received word r where it enters,
-    # run the engine that choose(spec, *args) picks, and pack its result
+    # run the engine that choose(spec, *args) picks, and pack its witness
     r = spec.gf.asarray(r)
     n = code_params(spec).n
     if r.shape != (n,):
         raise ValueError(f"received word length {r.shape} != n = {n}")
-    out = choose(spec, *args)[1](spec, r)
-    return _pack(out, spec.gf, spec.family, spec.m, spec.d)
+    vec = choose(spec, *args)[1](spec, r)
+    if vec is None:
+        return DecodeResult.fail(BEYOND_RADIUS)
+    return _pack(vec, spec.gf, spec.family, spec.m, spec.d)
 
 
 def decode_exhaustive(spec, r, bound=None):
@@ -481,9 +487,7 @@ def decode_exhaustive(spec, r, bound=None):
 def _scan_route(spec, r, cap_t):
     # the codeword-scan route of decode_exhaustive
     cw = _scan_codewords(spec, r, cap_t)
-    if cw is None:
-        return DecodeResult.fail(BEYOND_RADIUS)
-    return DecodeResult.success(cw, _interpolate(spec, cw))
+    return None if cw is None else _interpolate(spec, cw)
 
 
 def _syndrome_route(spec, r, cap_t):
@@ -493,20 +497,17 @@ def _syndrome_route(spec, r, cap_t):
     syn = linalg.vec_mat(gf, r, h.T)
     key = int(syn.astype(np.int64) @ powers)
     if key == 0:
-        return DecodeResult.success(r.copy(), _interpolate(spec, r))
+        return _interpolate(spec, r)
     e = _find_pattern(gf, len(r), cap_t, syn, key, powers, classes)
-    if e is None:
-        return DecodeResult.fail(BEYOND_RADIUS)
-    cw = gf.sub(r, e)
-    return DecodeResult.success(cw, _interpolate(spec, cw))
+    return None if e is None else _interpolate(spec, gf.sub(r, e))
 
 
 @lru_cache(maxsize=None)
 def _route(spec):
     # the routes of decode_exhaustive on spec, fixed per code and preferred
     # first: (name, enumeration count, vector engine), the engine taking
-    # (spec, r) and returning its witness as a vector over the basis; a
-    # lookup needs syndrome keys that fit in an int64
+    # (spec, r) and returning its witness as a vector over the basis, or
+    # None beyond the radius; a lookup needs syndrome keys that fit in an int64
     params = code_params(spec)
     q, n, k, cap_t = spec.gf.q, params.n, params.k, params.T
     if cap_t == 0:
@@ -677,19 +678,17 @@ def _quotient(gf, g, v, d):
 
 
 def _rs_affine(spec, r, cap_t):
-    # Gao's decoder at radius cap_t >= 1 with the witness as a coefficient
-    # vector over the basis
+    # Gao's decoder at radius cap_t >= 1: the witness as a coefficient
+    # vector over the basis, f[j] the coefficient of x^j, or None
     gf, d, q = spec.gf, spec.d, spec.gf.q
     field = gf.zeros(q + 1)  # x^q - x
     field[q], field[1] = 1, gf.neg(1)
     g, v = _partial_euclid(gf, field, _interpolate_line(gf, r), q + d + 1)
     out = _quotient(gf, g, v, d)
     if out is None:
-        return DecodeResult.fail(BEYOND_RADIUS)
+        return None
     cw, f = out  # the values of f are the codeword
-    if weight(gf.sub(r, cw)) > cap_t:
-        return DecodeResult.fail(BEYOND_RADIUS)
-    return DecodeResult.success(cw, f)  # f[j] is the coefficient of x^j
+    return None if weight(gf.sub(r, cw)) > cap_t else f
 
 
 # --- the pluggable affine-decoder registry ---
@@ -712,7 +711,8 @@ def _chooser(fn):
     # fn's chooser, (name, vector engine) for a spec: a library decoder's own,
     # found by identity, or else fn as "registered", its Poly witness read as
     # a vector over the basis, which the contract (reduced, degree <= d)
-    # keeps every term inside
+    # keeps every term inside, and its codeword checked to be that vector
+    # evaluated
     if fn is _default_affine:
         return _default_engine
     if fn is decode_exhaustive:
@@ -723,7 +723,7 @@ def _chooser(fn):
     def registered(spec, r):
         out = fn(spec, r)
         if not out.ok:
-            return out
+            return None
         pos = _chart_positions(spec.gf, spec.m, spec.d)
         vec = spec.gf.zeros(len(pos))
         for exps, c in out.witness.terms.items():
@@ -731,7 +731,11 @@ def _chooser(fn):
                 raise ValueError(f"affine decoder for {spec} returned the term "
                                  f"{exps}, not a reduced monomial of degree <= {spec.d}")
             vec[pos[exps]] = c
-        return DecodeResult.success(out.codeword, vec)
+        if not np.array_equal(linalg.vec_mat(spec.gf, vec, generator_matrix(spec)),
+                              out.codeword):
+            raise ValueError(f"affine decoder for {spec} returned a codeword "
+                             f"that is not its witness evaluated")
+        return vec
 
     return lambda spec: ("registered", registered)
 
@@ -746,8 +750,9 @@ class AffineDecoders:
     name its trace event carries.  The library's decoders choose as their
     docstrings say and hand over the witness vector they compute; any other
     callable runs as "registered", its Poly witness converted once to its
-    vector over the RM(m, d) basis, and a term outside that basis (a
-    witness breaking the contract) raises ValueError.
+    vector over the RM(m, d) basis.  A success breaking the contract raises
+    ValueError: a witness term outside that basis, or a codeword that is not
+    the witness evaluated (the recursion keeps the witness only).
     """
 
     def __init__(self, default=None):
@@ -846,12 +851,11 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
 
     # first part: trust the affine block
     engine, run = decoders._engine(lv.rm)
-    first = run(lv.rm, r1)
+    f0 = run(lv.rm, r1)
     if trace is not None:
-        trace.append(dict(event="affine", part="first", m=m, d=d, ok=first.ok,
+        trace.append(dict(event="affine", part="first", m=m, d=d, ok=f0 is not None,
                           engine=engine))
-    if first.ok:
-        f0 = first.witness
+    if f0 is not None:
         f = None
         if d <= q - 1:
             f = _scatter(gf, k, (lv.hom, f0))
@@ -887,7 +891,7 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
                     trace.append(dict(
                         event="accept", part="first", m=m, d=d,
                         f=Poly._of_vector(gf, m + 1, projective_basis(gf, m, d), f)))
-                return _Evaluated.success(cand, f)
+                return DecodeResult.success(cand, f)
             _trace(trace, event="reject", part="first", m=m, d=d)
 
     # second part: trust the projective tail
@@ -901,25 +905,24 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
                           v=second.codeword, g=g))
     if not second.ok:
         return DecodeResult.fail(BEYOND_RADIUS)
-    v = second.codeword
-    vxd = _replicate(gf, v, d)
+    vxd = _replicate(gf, second.codeword, d)
     engine, run = decoders._engine(lv.rm_low)
-    aff = run(lv.rm_low, gf.sub(r1, vxd))
+    low = run(lv.rm_low, gf.sub(r1, vxd))
     if trace is not None:
-        f_low = None
-        if aff.ok:
-            f_low = Poly._of_vector(gf, m + 1, affine_basis(gf, m, d - 1), aff.witness)
+        u = f_low = None
+        if low is not None:
+            u = linalg.vec_mat(gf, low, generator_matrix(lv.rm_low))
+            f_low = Poly._of_vector(gf, m + 1, affine_basis(gf, m, d - 1), low)
         trace.append(dict(event="affine", part="second", m=m, d=d - 1,
-                          ok=aff.ok, u=aff.codeword, f_low=f_low, engine=engine))
-    if not aff.ok:
+                          ok=low is not None, u=u, f_low=f_low, engine=engine))
+    if low is None:
         return DecodeResult.fail(BEYOND_RADIUS)
-    f = _scatter(gf, k, (lv.low, aff.witness), (lv.tail, second.witness))
-    cw = np.concatenate([gf.add(aff.codeword, vxd), v])
+    f = _scatter(gf, k, (lv.low, low), (lv.tail, second.witness))
     if trace is not None:
         trace.append(dict(
             event="accept", part="second", m=m, d=d,
             f=Poly._of_vector(gf, m + 1, projective_basis(gf, m, d), f)))
-    return DecodeResult.success(cw, f)
+    return DecodeResult.success(linalg.vec_mat(gf, f, lv.g), f)
 
 
 def _decode_entry(gf, m, d, r, decoders, strict, trace):
@@ -930,14 +933,7 @@ def _decode_entry(gf, m, d, r, decoders, strict, trace):
     if r.shape != (n,):
         raise ValueError(f"received word length {r.shape} != n = {n}")
     out = _decode_level(gf, m, d, r, decoders or AffineDecoders(), strict, trace)
-    if not out.ok:
-        return out
-    if type(out) is not _Evaluated:
-        # assembled by the second branch or the base case: check the assembly
-        g = _eval_matrix(gf, PRM, m, d)[1]
-        if not np.array_equal(linalg.vec_mat(gf, out.witness, g), out.codeword):
-            raise AssertionError("witness does not evaluate to the codeword")
-    return _pack(out, gf, PRM, m, d)
+    return _pack(out.witness, gf, PRM, m, d) if out.ok else out
 
 
 def decode_prm(gf, m, d, r, decoders=None, trace=None):
@@ -949,7 +945,10 @@ def decode_prm(gf, m, d, r, decoders=None, trace=None):
 
     With the default engines this raises EnumerationBoundError (a
     RuntimeError) when an affine code the recursion reaches for m >= 2 is
-    too large for decode_exhaustive, even on an error-free word.
+    too large for decode_exhaustive, even on an error-free word.  It raises
+    ValueError on a symbol outside the field, a word of the wrong length,
+    a code that does not exist, or a registered affine decoder whose
+    success breaks the contract (see AffineDecoders).
     """
     try:
         return _decode_entry(gf, m, d, r, decoders, True, trace)
@@ -963,7 +962,7 @@ def decode_prm_robust(gf, m, d, r, decoders=None, trace=None):
     Identical within the guaranteed radius, but keeps trying the remaining
     branches when one block of the received word is hopeless; this recovers
     all patterns accepted by check_error_pattern even past eta/2.  Raises
-    EnumerationBoundError as decode_prm does.
+    EnumerationBoundError and ValueError as decode_prm does.
     """
     return _decode_entry(gf, m, d, r, decoders, False, trace)
 

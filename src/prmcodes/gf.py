@@ -24,10 +24,10 @@ scalar cannot wrap, and a table read of scalars is turned back into one.
 numpy product of two scalars costs several times over, and widens
 prime-field arrays to int64.  On every field scalars, numpy scalars
 included, come back as Python ints; an XOR keeps the dtype of its array
-operands.  Arrays are added and subtracted in their promoted dtype, so an
-unsigned array narrower than int32 can wrap when it meets only a Python
-int or another narrow operand; the library pairs each narrow array with an
-int32 one.
+operands.  A prime field adds and subtracts arrays in their promoted dtype
+when that is a signed one of at least 32 bits; an unsigned or narrower
+result, which can have wrapped because no operand was an int32 or int64
+array, is computed again with both operands widened to int32.
 ``_sum`` adds an array down its first axis in one pass on an extension
 field (an XOR reduction for p = 2, a base-p digit sum otherwise); prime
 fields sum inside ``linalg.vec_mat``'s integer matmul.  With it,
@@ -81,9 +81,21 @@ def _prime_factors(n):
     return out
 
 
+_INT32 = np.dtype(DTYPE)
+
+
 def _plain(x):
     # a field op's result: an array as it is, a scalar as a Python int
     return x if isinstance(x, np.ndarray) else int(x)
+
+
+def _unwrapped(out, ufunc, a, b):
+    # out = ufunc(a, b), an array that is not int32, as numpy computed it, or
+    # ufunc(a, b) again with both operands widened to int32 when out can have
+    # wrapped: unsigned, or narrower than int32 (no operand was an int32 or
+    # int64 array)
+    wraps = out.dtype.kind == "u" or out.itemsize < 4
+    return ufunc(a, b, dtype=DTYPE) if wraps else out
 
 
 def _smallest_primitive_root(p):
@@ -228,14 +240,20 @@ class GF:
         if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
             a, b = int(a), int(b)  # numpy scalars would wrap in a narrow dtype
         if self.e == 1:
-            return (a + b) % self.p
+            out = a + b
+            if type(out) is np.ndarray and out.dtype is not _INT32:
+                out = _unwrapped(out, np.add, a, b)
+            return out % self.p
         return a ^ b if self.p == 2 else _plain(self._add_table[a, b])
 
     def sub(self, a, b):
         if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
             a, b = int(a), int(b)  # numpy scalars would wrap in a narrow dtype
         if self.e == 1:
-            return (a - b) % self.p
+            out = a - b
+            if type(out) is np.ndarray and out.dtype is not _INT32:
+                out = _unwrapped(out, np.subtract, a, b)
+            return out % self.p
         return a ^ b if self.p == 2 else _plain(self._sub_table[a, b])
 
     def neg(self, a):

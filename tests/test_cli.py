@@ -255,6 +255,15 @@ def test_simulate_deterministic_given_seed():
     assert (a.successes, a.failures, a.wrong_decodings) == (20, 0, 0)
 
 
+def test_simulate_rejects_an_unknown_algorithm():
+    # the --alg names are the only algorithms; any other name is an error,
+    # not a silent run of the robust decoder
+    with pytest.raises(ValueError, match="unknown algorithm 'alg9'"):
+        run_simulation(GF(3), 2, 3, 1, 5, seed=1, alg="alg9")
+    for alg in ("alg1", "alg2"):
+        assert run_simulation(GF(3), 2, 3, 1, 5, seed=1, alg=alg).successes == 5
+
+
 def test_simulate_overweight_usage_error(capsys):
     code, _, err = run_cli(capsys, "simulate", "--q", "3", "--m", "2", "--d", "3",
                            "--errors", "14", "--trials", "1")

@@ -454,14 +454,12 @@ def test_scan_and_syndrome_routes_agree(code, planted, data):
     else:
         r = gf.asarray(data.draw(st.lists(st.integers(0, gf.q - 1), min_size=p.n,
                                           max_size=p.n)))
+    # each route returns its witness vector, or None beyond the radius
     scan, syndrome = _scan_route(spec, r, p.T), _syndrome_route(spec, r, p.T)
-    assert scan.failure == syndrome.failure
-    if scan.ok:
-        assert np.array_equal(scan.codeword, syndrome.codeword)
-        assert np.array_equal(scan.witness, syndrome.witness)
-        assert weight(gf.sub(r, scan.codeword)) <= p.T
-    else:
-        assert scan.failure == "BeyondRadius"
+    assert (scan is None) == (syndrome is None)
+    if scan is not None:
+        assert np.array_equal(scan, syndrome)
+        assert weight(gf.sub(r, vec_mat(gf, scan, generator_matrix(spec)))) <= p.T
 
 
 # --- Reed-Solomon (Gao's decoder) ---
@@ -858,7 +856,7 @@ def test_packed_witness_takes_one_or_two_bytes_an_element(q):
     mons, g = _eval_matrix(gf, RM, 1, 3)
     vec = gf.asarray([q - 1, 0, 1, q - 2])
     cw = vec_mat(gf, vec, g)
-    out = _pack(DecodeResult.success(cw, vec), gf, RM, 1, 3)
+    out = _pack(vec, gf, RM, 1, 3)
     assert out.witness == Poly(gf, 2, zip(mons, vec.tolist()))
     assert np.array_equal(out.codeword, cw)
     assert pickle.loads(pickle.dumps(out)) == out
@@ -957,11 +955,11 @@ def test_registry_rejects_witness_outside_the_basis():
         decode_prm(gf, 2, 2, cw, decoders=AffineDecoders().register(2, 2, unreduced))
 
 
-def test_entry_checks_only_assembled_results():
-    # a first-branch accept is its own witness evaluated, so a registered
-    # engine's codeword cannot spoil it; a result the second branch
-    # assembles from a registered (m, d-1) engine is checked at the entry,
-    # and a codeword that disagrees with that engine's witness raises
+def test_registry_checks_the_codeword_against_the_witness():
+    # the recursion evaluates a registered engine's witness itself, so the
+    # registry checks once that the engine's codeword is that evaluation: a
+    # refusing engine leaves the second branch to decode, and a codeword
+    # that disagrees with its witness raises ValueError in either branch
     gf = GF(3)
     spec = CodeSpec(PRM, gf, 2, 2)
     cw, f = encode(spec, [1, 0, 2, 1, 0, 0])
@@ -973,13 +971,37 @@ def test_entry_checks_only_assembled_results():
         out = decode_exhaustive(spec, r)
         return DecodeResult.success(gf.add(out.codeword, 1), out.witness)
 
+    out = decode_prm(gf, 2, 2, cw, decoders=AffineDecoders().register(2, 2, refuse))
+    assert out == decode_prm(gf, 2, 2, cw) and out.witness == f
     for decoders in (AffineDecoders().register(2, 2, shifted),
-                     AffineDecoders().register(2, 2, refuse)):
-        out = decode_prm(gf, 2, 2, cw, decoders=decoders)
-        assert out == decode_prm(gf, 2, 2, cw) and out.witness == f
-    lying = AffineDecoders().register(2, 2, refuse).register(2, 1, shifted)
-    with pytest.raises(AssertionError, match="does not evaluate to the codeword"):
-        decode_prm(gf, 2, 2, cw, decoders=lying)
+                     AffineDecoders().register(2, 2, refuse).register(2, 1, shifted)):
+        with pytest.raises(ValueError, match="not its witness evaluated"):
+            decode_prm(gf, 2, 2, cw, decoders=decoders)
+
+
+@pytest.mark.parametrize("q,m,d,decode,weights", [
+    (5, 2, 4, decode_prm, (3, 4, 5)), (3, 3, 2, decode_prm_robust, (6, 7, 8)),
+    (5, 1, 3, decode_prm, (1, 1, 1))])
+def test_second_branch_trace_u_is_f_low_evaluated(q, m, d, decode, weights):
+    # the benchmark's m >= 2 codes at and past their radius, and a line whose
+    # chart at d-1 corrects one error more than at d (the benchmark's line
+    # never succeeds in its second branch): the recursion keeps the
+    # second-branch affine engine's witness only, and its trace event's u is
+    # that witness evaluated over the chart
+    spec = spec_of(PRM, q, m, d)
+    gf, p = spec.gf, code_params(spec)
+    rng = np.random.default_rng(q + m + d)
+    seen = 0
+    for i in range(30):
+        cw, _ = encode(spec, rng.integers(0, q, size=p.k))
+        trace = []
+        decode(gf, m, d, gf.add(cw, random_error(gf, rng, p.n, weights[i % 3])),
+               trace=trace)
+        for ev in trace:
+            if ev["event"] == "affine" and ev["part"] == "second" and ev["ok"]:
+                assert np.array_equal(ev["u"], eval_affine(ev["f_low"], ev["m"]))
+                seen += 1
+    assert seen
 
 
 def test_exhaustive_registry_forces_oracle():

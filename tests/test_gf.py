@@ -148,7 +148,7 @@ def test_array_ops_match_scalars():
     # GF(2^e) adds and subtracts by XOR, other fields by tables or mod p; on
     # every field scalars, numpy scalars included, come back as Python ints,
     # and narrow ones do not wrap (0 - 3 in uint8); GF(2^e) arrays keep
-    # their dtype
+    # their dtype, and on a prime field narrow or unsigned arrays do not wrap
     for gf in (GF(3), GF(5), GF(2, 2), GF(3, 2), GF(2, 7), GF(3, 3)):
         pairs = [(a, b) for a in range(gf.q) for b in range(gf.q)]
         av = gf.asarray([a for a, _ in pairs])
@@ -172,6 +172,19 @@ def test_array_ops_match_scalars():
             for out in (gf.add(narrow, bv.astype(np.uint8)), gf.sub(narrow, 1),
                         gf.neg(narrow)):
                 assert out.dtype == np.uint8
+        if gf.e == 1:
+            for dtype in (np.uint8, np.uint16, np.int8, np.uint32):
+                narrow, other = av.astype(dtype), bv.astype(dtype)
+                for op in (gf.add, gf.sub):
+                    for out in (op(narrow, other), op(narrow, bv), op(av, other)):
+                        assert out.dtype.kind == "i" and out.itemsize >= 4
+                        assert out.tolist() == [op(a, b) for a, b in pairs]
+                    assert op(narrow, 3).tolist() == [op(a, 3) for a, _ in pairs]
+                    assert op(4, narrow).tolist() == [op(4, a) for a, _ in pairs]
+                assert gf.neg(narrow).tolist() == [gf.neg(a) for a, _ in pairs]
+    assert GF(5).sub(np.array([0], dtype=np.uint8), 3).tolist() == [2]
+    assert GF(251).add(np.array([250], dtype=np.uint8), 10).tolist() == [9]
+    assert GF(251).add(np.array([250], dtype=np.int16), np.int16(10)).tolist() == [9]
 
 
 def test_large_prime_no_overflow():
