@@ -91,20 +91,16 @@ def _decoders(args):
 def cmd_params(args):
     spec = CodeSpec(_family(args.family), GF.from_order(args.q), args.m, args.d)
     p = code_params(spec)
+    # CodeParams' fields in order; an RM code's projective-only fields, None,
+    # are left out of the text and empty in the CSV
+    pairs = [(field.name, getattr(p, field.name)) for field in fields(p)]
     if args.csv:
-        eta_s = "" if p.eta is None else str(p.eta)
-        t0_s = "" if p.T0 is None else str(p.T0)
-        text = ("family,q,m,d,n,k,wt,eta,T,T0\n"
-                f"{spec.family},{args.q},{args.m},{args.d},"
-                f"{p.n},{p.k},{p.wt},{eta_s},{p.T},{t0_s}")
+        pairs = [("family", spec.family), ("q", args.q), ("m", args.m),
+                 ("d", args.d)] + pairs
+        text = (",".join(name for name, _ in pairs) + "\n"
+                + ",".join("" if v is None else str(v) for _, v in pairs))
     else:
-        bits = [f"n={p.n}", f"k={p.k}", f"wt={p.wt}"]
-        if p.eta is not None:
-            bits.append(f"eta={p.eta}")
-        bits.append(f"T={p.T}")
-        if p.T0 is not None:
-            bits.append(f"T0={p.T0}")
-        text = ",".join(bits)
+        text = ",".join(f"{name}={v}" for name, v in pairs if v is not None)
     _emit(text, args.out)
     return EXIT_OK
 

@@ -275,9 +275,13 @@ def replicate_scaled(gf, v, d):
 
     For |v| = p_{m-1} this is the length-q^m expansion aligned with the
     affine point ordering; a projective codeword v expands to the affine
-    evaluation of the lift of its polynomial.
+    evaluation of the lift of its polynomial.  It is one broadcast product
+    of the scales and v, then the 0.
     """
-    return _replicate(gf, gf.asarray(v), d)
+    v = gf.asarray(v)
+    out = gf.zeros((gf.q - 1) * len(v) + 1)
+    out[:-1] = gf.mul(_scales(gf, d), v).ravel()
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -286,12 +290,3 @@ def _scales(gf, d):
     col = np.array([gf.pow(gf.xi, s * d) for s in range(gf.q - 1)], dtype=DTYPE)
     col.setflags(write=False)
     return col[:, None]
-
-
-def _replicate(gf, v, d):
-    # replicate_scaled of an array of field elements, which the caller has
-    # checked: one broadcast product of the scales and v, then the 0
-    out = gf.zeros((gf.q - 1) * len(v) + 1)
-    out[:-1] = gf.mul(_scales(gf, d), v).ravel()
-    return out
-

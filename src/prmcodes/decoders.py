@@ -33,25 +33,31 @@ the call's trace event.  The exhaustive decoder's routes, and the
 rule that picks one, are those of decode_exhaustive.
 
 Inside the recursion a witness is a coefficient vector over a cached monomial
-basis (affine_basis for the affine engines, projective_basis for a level's
-result).  The library's engines hand over the vector they compute; a
-registered engine's Poly is converted once, at the registry.  Homogenizing,
-lifting and reducing are index arrays on those vectors, embedding is the
-suffix of the larger projective basis, splitting reads the degree-d
-positions of the affine basis, and evaluation is a vec_mat with the basis
-evaluation matrix.  A level's codeword is its witness evaluated, in either
-branch: a first-branch accept is the candidate it measured against the
-word, and the second branch evaluates the witness it assembles.  A success
-returned by a library entry point keeps only its witness vector, packed in
-a byte string, and evaluates the codeword and builds a fresh witness Poly
-on each read; trace events get a Poly, and a second-branch event its chart
-codeword u, only when a trace list is passed.
+basis (affine_basis for the affine engines, projective_basis for a level's).
+A level returns its witness alone, or None; only the entry point builds a
+DecodeResult, and it reads a level's None as NotInCode when the top code is
+its own base case (weight <= 2) and as BeyondRadius otherwise.  The
+library's engines hand over the vector they compute; a registered engine's
+Poly is converted once, at the registry.  Homogenizing, lifting and reducing
+are index arrays on those vectors, embedding is the suffix of the larger
+projective basis, splitting reads the degree-d positions of the affine
+basis, and evaluation is a vec_mat with the basis evaluation matrix.  Every
+codeword a level reads is a block of its own PRM(m, d) evaluation matrix g,
+whose first q^m columns are the affine chart: a first-branch candidate is
+the witness times all of g, and a tail witness times g's tail rows gives its
+replicated scaled copy on the chart columns and its own codeword on the
+rest.  A success returned by a library entry point keeps only its witness
+vector, packed in a byte string, and evaluates the codeword and builds a
+fresh witness Poly on each read; trace events get a Poly, and the tail and
+second-branch events their codewords v and u, only when a trace list is
+passed.
 
 A received word is checked once, where it enters: decode_prm,
 decode_prm_robust, decode_exhaustive, decode_rs_affine and the default
 engine behind AffineDecoders.decode (like interpolate_family, encode and
 replicate_scaled in codes) read it with gf.asarray, which raises ValueError
-on a symbol outside [0, q-1], and check its length.  Below them the
+on a non-integer array or a symbol outside [0, q-1], checked before it is
+narrowed to int32, and check its length.  Below them the
 recursion, its per-level constants and the vector engines trust the arrays
 the recursion builds from that word.
 
@@ -72,8 +78,7 @@ import numpy as np
 
 from . import linalg
 from .codes import (PRM, RM, CodeSpec, NotInCodeError, _coefficients,
-                    _eval_matrix, _replicate, code_params, eta,
-                    generator_matrix, prm_weight)
+                    _eval_matrix, code_params, eta, generator_matrix, prm_weight)
 from .geometry import num_projective_points
 from .gf import DTYPE
 from .poly import (Poly, _homogenize_map, _lift_map, _reduce_map,
@@ -129,10 +134,8 @@ class DecodeResult:
     codeword and witness as given; two of them are equal when their
     codewords hold the same values (np.array_equal) and their witnesses and
     failure kinds are equal.  A packed result never equals an unpacked one.
-    Inside the recursion a level's result is a DecodeResult too, a success
-    holding its codeword and witness vector or a failure of its kind; the
-    affine engines it runs return a bare witness vector, or None, not a
-    DecodeResult.
+    Only the entry points build one: the recursion's levels and the affine
+    engines they run return a bare witness vector, or None.
     """
     codeword: object
     witness: object
@@ -346,11 +349,13 @@ def _syndrome_table(spec):
     h is _stored_weights, at least ceil(T/2), so a pattern of any weight W
     in (h, T] is the sum of a stored pattern of weight W-h and one of weight
     h; _find_pattern looks those up as a join of the two classes.  A class
-    is (keys, support index, value index, supports, values, syndromes),
-    sorted by key.  For the classes 1..T-h that a join subtracts, syndromes
-    holds the symbols of each key, keys // powers % q, one row per key in
-    the narrow dtype of the field; heavier classes, which only the search
-    reads, keep None there.
+    is (keys, pattern index, supports, values, syndromes), sorted by key;
+    pattern i of the class is support i // nv with values i % nv, nv the
+    number of value tuples, and the pattern index holds the i of each key
+    as int32.  For the classes 1..T-h that a join subtracts, syndromes holds
+    the symbols of each key, keys // powers % q, one row per key in the
+    narrow dtype of the field; heavier classes, which only the search reads,
+    keep None there.
     """
     gf = spec.gf
     params = code_params(spec)
@@ -369,8 +374,6 @@ def _syndrome_table(spec):
         vals = np.array(list(product(range(1, q), repeat=w)), dtype=np.int16)
         nv = len(vals)
         keys = np.empty(len(sups) * nv, dtype=np.int64)
-        sup_idx = np.empty(len(sups) * nv, dtype=np.int32)
-        val_idx = np.tile(np.arange(nv, dtype=np.int32), len(sups))
         chunk = max(1, 2 ** 21 // max(1, nv * rows))
         for lo in range(0, len(sups), chunk):
             sup = sups[lo:lo + chunk]
@@ -378,8 +381,6 @@ def _syndrome_table(spec):
             for slot in range(1, w):
                 syn = gf.add(syn, unit[sup[:, slot, None], vals[None, :, slot]])
             keys[lo * nv:(lo + len(sup)) * nv] = (syn.astype(np.int64) @ powers).ravel()
-            sup_idx[lo * nv:(lo + len(sup)) * nv] = np.repeat(
-                np.arange(lo, lo + len(sup), dtype=np.int32), nv)
         # keys are unique: two patterns of weight <= T with one syndrome
         # would differ by a codeword of weight <= 2T < wt
         order = np.argsort(keys)
@@ -387,7 +388,7 @@ def _syndrome_table(spec):
         syns = None
         if w <= params.T - top:
             syns = (keys[:, None] // powers % q).astype(_narrow_dtype(q))
-        classes.append((keys, sup_idx[order], val_idx[order], sups, vals, syns))
+        classes.append((keys, order.astype(np.int32), sups, vals, syns))
     return h, powers, classes
 
 
@@ -401,25 +402,29 @@ def _find_pattern(gf, n, cap_t, syn, key, powers, classes):
     # with syndrome s, and that pattern is unique, so every hit gives the same
     # e.  The first W that hits is wt(e), where e1 and e2 are disjoint parts
     # of e; the field add keeps e right for any hit.
-    for keys, sup_idx, val_idx, sups, vals, _ in classes:
+    for cls in classes:
+        keys = cls[0]
         pos = int(np.searchsorted(keys, key))
         if pos < len(keys) and keys[pos] == key:
-            e = gf.zeros(n)
-            e[sups[sup_idx[pos]]] = vals[val_idx[pos]]
-            return e
-    h_keys, h_sup_idx, h_val_idx, h_sups, h_vals, _ = classes[-1]
-    for keys, sup_idx, val_idx, sups, vals, syns in classes[:cap_t - len(classes)]:
-        rest = gf.sub(syn, syns).astype(np.int64) @ powers
+            return _add_pattern(gf, gf.zeros(n), cls, pos)
+    h_keys = classes[-1][0]
+    for cls in classes[:cap_t - len(classes)]:
+        rest = gf.sub(syn, cls[4]).astype(np.int64) @ powers
         pos = np.minimum(np.searchsorted(h_keys, rest), len(h_keys) - 1)
         hit = np.flatnonzero(h_keys[pos] == rest)
         if len(hit):
-            i, j = hit[0], pos[hit[0]]
-            e = gf.zeros(n)
-            e[sups[sup_idx[i]]] = vals[val_idx[i]]
-            sup = h_sups[h_sup_idx[j]]
-            e[sup] = gf.add(e[sup], h_vals[h_val_idx[j]])
-            return e
+            e = _add_pattern(gf, gf.zeros(n), cls, hit[0])
+            return _add_pattern(gf, e, classes[-1], pos[hit[0]])
     return None
+
+
+def _add_pattern(gf, e, cls, at):
+    # e plus the pattern at sorted position `at` of the syndrome-table class
+    # cls: pattern i is support i // nv with values i % nv
+    _, idx, sups, vals, _ = cls
+    sup, val = divmod(int(idx[at]), len(vals))
+    e[sups[sup]] = gf.add(e[sups[sup]], vals[val])
+    return e
 
 
 def _interpolate(spec, c):
@@ -709,7 +714,8 @@ def _chart_positions(gf, m, d):
 
 def _chooser(fn):
     # fn's chooser, (name, vector engine) for a spec: a library decoder's own,
-    # found by identity, or else fn as "registered", its Poly witness read as
+    # found by identity, or else fn as "registered": its return checked to be
+    # a DecodeResult, a success's witness to be a Poly, that Poly read as
     # a vector over the basis, which the contract (reduced, degree <= d)
     # keeps every term inside, and its codeword checked to be that vector
     # evaluated
@@ -722,6 +728,10 @@ def _chooser(fn):
 
     def registered(spec, r):
         out = fn(spec, r)
+        if not (isinstance(out, DecodeResult)
+                and (not out.ok or isinstance(out.witness, Poly))):
+            raise ValueError(f"affine decoder for {spec} returned neither a failed "
+                             f"DecodeResult nor a success with a Poly witness")
         if not out.ok:
             return None
         pos = _chart_positions(spec.gf, spec.m, spec.d)
@@ -750,9 +760,10 @@ class AffineDecoders:
     name its trace event carries.  The library's decoders choose as their
     docstrings say and hand over the witness vector they compute; any other
     callable runs as "registered", its Poly witness converted once to its
-    vector over the RM(m, d) basis.  A success breaking the contract raises
-    ValueError: a witness term outside that basis, or a codeword that is not
-    the witness evaluated (the recursion keeps the witness only).
+    vector over the RM(m, d) basis.  A return breaking the contract raises
+    ValueError: anything but a DecodeResult, a success whose witness is no
+    Poly, a witness term outside that basis, or a codeword that is not the
+    witness evaluated (the recursion keeps the witness only).
     """
 
     def __init__(self, default=None):
@@ -790,7 +801,8 @@ def _level(gf, m, d):
     that the level's two branches decode.  The level's witness is a vector
     over projective_basis(m, d) and g, the PRM(m, d) evaluation matrix,
     evaluates it.  hom and low homogenize the RM(m, d) and RM(m, d-1)
-    witnesses into that basis.  tail, a slice, is where the PRM(m-1, d)
+    witnesses into that basis; low is a prefix of hom, since affine_basis
+    lists its monomials by degree.  tail, a slice, is where the PRM(m-1, d)
     witness lands: projective_basis lists the x_0 block first, so the
     embedded basis of P^(m-1) is its last len(projective_basis(m-1, d))
     entries, in order.  For d >= q, top holds the positions of the degree-d
@@ -811,8 +823,8 @@ def _level(gf, m, d):
         top_tail = g[hom[top], q ** m:]
         lift = _lift_map(gf, m, d0, d)[-len(projective_basis(gf, m - 1, d0)):]
         red = _reduce_map(gf, m, d0, d)
-    return _Level(CodeSpec(RM, gf, m, d), CodeSpec(RM, gf, m, d - 1), g, hom,
-                  _homogenize_map(gf, m, d - 1, d),
+    low = hom[:len(affine_basis(gf, m, d - 1))]
+    return _Level(CodeSpec(RM, gf, m, d), CodeSpec(RM, gf, m, d - 1), g, hom, low,
                   slice(-len(projective_basis(gf, m - 1, d)), None),
                   top, top_tail, lift, red)
 
@@ -827,11 +839,13 @@ def _scatter(gf, n, *parts):
 
 def _decode_level(gf, m, d, r, decoders, strict, trace):
     # Level m works on the last m+1 variables of its own (m+1)-variable ring.
-    # Its witness is a coefficient vector over projective_basis(gf, m, d),
-    # carried upward by the index arrays of _level; trace events get Polys.
+    # It returns its witness, a coefficient vector over projective_basis(gf,
+    # m, d), or None; the index arrays of _level carry a sub-witness upward,
+    # and every codeword the level reads is a vec_mat with a block of lv.g,
+    # the tail's on the chart (its replicated scaled copy) and on the tail
+    # (the sub-level's codeword).  Trace events get Polys.
     if m == 0:
-        c = r.copy()
-        return DecodeResult.success(c, c)  # the coefficient of x0^d
+        return r.copy()  # the coefficient of x0^d
     q = gf.q
     wt = prm_weight(q, m, d)
     if wt <= 2:
@@ -842,12 +856,12 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
             _trace(trace, event="base", m=m, d=d, ok=False)
             if strict:
                 raise _InconsistentBase()
-            return DecodeResult.fail(NOT_IN_CODE)
+            return None
         _trace(trace, event="base", m=m, d=d, ok=True)
-        return DecodeResult.success(r.copy(), f)
+        return f
     lv = _level(gf, m, d)
-    k = len(lv.g)
-    r1, r2 = r[:q ** m], r[q ** m:]
+    k, chart = len(lv.g), q ** m
+    r1, r2 = r[:chart], r[chart:]
 
     # first part: trust the affine block
     engine, run = decoders._engine(lv.rm)
@@ -868,22 +882,21 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
             c_good = linalg.vec_mat(gf, f0[lv.top], lv.top_tail)
             sub = _decode_level(gf, m - 1, d0, gf.sub(r2, c_good), decoders, strict,
                                 trace)
-            if sub.ok:
+            if sub is not None:
                 # f = homogenize(g0) + lift(f_sub) + good_top with g0 the
                 # reduction of f0 - f_sub - good_top, whose degree is below d;
                 # good_top is its own homogenization, so f is homogenize(h)
                 # + lift(f_sub) with h = g0 + good_top = f0 - reduced f_sub
                 h = f0.copy()
-                h[lv.red] = gf.sub(h[lv.red], sub.witness)
+                h[lv.red] = gf.sub(h[lv.red], sub)
                 if trace is not None:
                     g0 = h.copy()
                     g0[lv.top] = 0
-                    f_sub = Poly._of_vector(gf, m, projective_basis(gf, m - 1, d0),
-                                            sub.witness)
+                    f_sub = Poly._of_vector(gf, m, projective_basis(gf, m - 1, d0), sub)
                     g0 = Poly._of_vector(gf, m + 1, affine_basis(gf, m, d), g0)
                     trace.append(dict(event="residue", m=m, d=d, f_sub=embed_poly(f_sub),
                                       g0=g0))
-                f = _scatter(gf, k, (lv.hom, h), (lv.lift, sub.witness))
+                f = _scatter(gf, k, (lv.hom, h), (lv.lift, sub))
         if f is not None:
             cand = linalg.vec_mat(gf, f, lv.g)
             if 2 * weight(gf.sub(r, cand)) < wt:
@@ -891,38 +904,38 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
                     trace.append(dict(
                         event="accept", part="first", m=m, d=d,
                         f=Poly._of_vector(gf, m + 1, projective_basis(gf, m, d), f)))
-                return DecodeResult.success(cand, f)
+                return f
             _trace(trace, event="reject", part="first", m=m, d=d)
 
     # second part: trust the projective tail
     second = _decode_level(gf, m - 1, d, r2, decoders, strict, trace)
     if trace is not None:
-        g = None
-        if second.ok:
+        g = v = None
+        if second is not None:
             g = embed_poly(Poly._of_vector(gf, m, projective_basis(gf, m - 1, d),
-                                           second.witness))
-        trace.append(dict(event="tail", m=m, d=d, ok=second.ok,
-                          v=second.codeword, g=g))
-    if not second.ok:
-        return DecodeResult.fail(BEYOND_RADIUS)
-    vxd = _replicate(gf, second.codeword, d)
+                                           second))
+            v = linalg.vec_mat(gf, second, lv.g[lv.tail, chart:])
+        trace.append(dict(event="tail", m=m, d=d, ok=second is not None, v=v, g=g))
+    if second is None:
+        return None
+    vxd = linalg.vec_mat(gf, second, lv.g[lv.tail, :chart])
     engine, run = decoders._engine(lv.rm_low)
     low = run(lv.rm_low, gf.sub(r1, vxd))
     if trace is not None:
         u = f_low = None
         if low is not None:
-            u = linalg.vec_mat(gf, low, generator_matrix(lv.rm_low))
+            u = linalg.vec_mat(gf, low, lv.g[lv.low, :chart])
             f_low = Poly._of_vector(gf, m + 1, affine_basis(gf, m, d - 1), low)
         trace.append(dict(event="affine", part="second", m=m, d=d - 1,
                           ok=low is not None, u=u, f_low=f_low, engine=engine))
     if low is None:
-        return DecodeResult.fail(BEYOND_RADIUS)
-    f = _scatter(gf, k, (lv.low, low), (lv.tail, second.witness))
+        return None
+    f = _scatter(gf, k, (lv.low, low), (lv.tail, second))
     if trace is not None:
         trace.append(dict(
             event="accept", part="second", m=m, d=d,
             f=Poly._of_vector(gf, m + 1, projective_basis(gf, m, d), f)))
-    return DecodeResult.success(linalg.vec_mat(gf, f, lv.g), f)
+    return f
 
 
 def _decode_entry(gf, m, d, r, decoders, strict, trace):
@@ -932,8 +945,12 @@ def _decode_entry(gf, m, d, r, decoders, strict, trace):
     n = num_projective_points(gf.q, m)
     if r.shape != (n,):
         raise ValueError(f"received word length {r.shape} != n = {n}")
-    out = _decode_level(gf, m, d, r, decoders or AffineDecoders(), strict, trace)
-    return _pack(out.witness, gf, PRM, m, d) if out.ok else out
+    f = _decode_level(gf, m, d, r, decoders or AffineDecoders(), strict, trace)
+    if f is not None:
+        return _pack(f, gf, PRM, m, d)
+    # a top code of weight <= 2 is its own base case
+    base = prm_weight(gf.q, m, d) <= 2
+    return DecodeResult.fail(NOT_IN_CODE if base else BEYOND_RADIUS)
 
 
 def decode_prm(gf, m, d, r, decoders=None, trace=None):
@@ -946,9 +963,9 @@ def decode_prm(gf, m, d, r, decoders=None, trace=None):
     With the default engines this raises EnumerationBoundError (a
     RuntimeError) when an affine code the recursion reaches for m >= 2 is
     too large for decode_exhaustive, even on an error-free word.  It raises
-    ValueError on a symbol outside the field, a word of the wrong length,
-    a code that does not exist, or a registered affine decoder whose
-    success breaks the contract (see AffineDecoders).
+    ValueError on a non-integer word, a symbol outside the field, a word of
+    the wrong length, a code that does not exist, or a registered affine
+    decoder whose return breaks the contract (see AffineDecoders).
     """
     try:
         return _decode_entry(gf, m, d, r, decoders, True, trace)

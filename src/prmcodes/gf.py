@@ -182,22 +182,13 @@ class GF:
             v = v * self.p + d
         return v
 
-    def _poly_mul(self, a, b):
-        # product of two encoded elements, reduced by the modulus
-        p, e = self.p, self.e
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        for i in range(len(prod) - 1, e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(e):
-                    prod[i - e + j] = (prod[i - e + j] - c * self.modulus[j]) % p
-        return self._encode(prod[:e])
+    def _times_x(self, a):
+        # a * x, reduced by the modulus: the digits shift up one place, and the
+        # carried top digit c, c x^e = -c (modulus - x^e), is subtracted as c
+        # times the modulus' lower digits
+        c, rest = divmod(a, self.q // self.p)
+        shifted = zip(self._digits(rest * self.p), self.modulus)
+        return self._encode([(digit - c * t) % self.p for digit, t in shifted])
 
     def _build_tables(self):
         q = self.q
@@ -209,7 +200,7 @@ class GF:
             if log[acc] != -1:
                 raise AssertionError("xi does not have order q-1")
             log[acc] = i
-            acc = (acc * self.xi) % self.p if self.e == 1 else self._poly_mul(acc, self.xi)
+            acc = (acc * self.xi) % self.p if self.e == 1 else self._times_x(acc)
         if acc != 1:
             raise AssertionError("xi does not have order q-1")
         self.antilog_table = antilog
@@ -316,10 +307,18 @@ class GF:
         return np.zeros(n, dtype=DTYPE)
 
     def asarray(self, values):
-        arr = np.asarray(values, dtype=DTYPE)
-        if arr.size and (arr.min() < 0 or arr.max() >= self.q):
+        """values as an int32 array: ValueError on a non-integer array, or on a
+        value outside [0, q-1] as given, before it is narrowed; int32 input
+        comes back as it is, and empty input of any dtype is accepted."""
+        arr = np.asarray(values)
+        if not arr.size:
+            return arr.astype(DTYPE)
+        if arr.dtype is not _INT32 and arr.dtype.kind not in "biu":
+            raise ValueError(f"values for GF({self.q}) must be integers, "
+                             f"not {arr.dtype}")
+        if arr.min() < 0 or arr.max() >= self.q:
             raise ValueError(f"values out of range for GF({self.q})")
-        return arr
+        return arr if arr.dtype is _INT32 else arr.astype(DTYPE)
 
     def __eq__(self, other):
         return isinstance(other, GF) and (self.p, self.e) == (other.p, other.e)

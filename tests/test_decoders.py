@@ -6,6 +6,7 @@ packed results the entry points return."""
 import hashlib
 import itertools
 import pickle
+import re
 import sys
 import tracemalloc
 from functools import lru_cache
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from prmcodes.codes import (PRM, RM, CodeSpec, _eval_matrix, code_params,
                             encode, generator_matrix, interpolate,
-                            interpolate_family, replicate_scaled)
+                            interpolate_family, prm_weight, replicate_scaled)
 from prmcodes.decoders import (_SCAN_AT_ONCE, DEFAULT_ENUM_BOUND,
                                AffineDecoders, DecodeResult,
                                EnumerationBoundError, _codebook,
@@ -279,12 +280,15 @@ def test_syndrome_table_matches_per_pattern_build(q, m, d):
                     key += s * q ** r
                 keys.append(key)
                 pattern.append((si, vi))
+        # a class stores one index per key: pattern i is support i // nv
+        # with values i % nv
+        assert pattern == [divmod(i, len(vals)) for i in range(len(pattern))]
         order = sorted(range(len(keys)), key=keys.__getitem__)
         want = (np.array([keys[i] for i in order], dtype=np.int64),
-                np.array([pattern[i][0] for i in order], dtype=np.int32),
-                np.array([pattern[i][1] for i in order], dtype=np.int32),
+                np.array(order, dtype=np.int32),
                 np.array(sups, dtype=np.int16),
                 np.array(vals, dtype=np.int16))
+        assert len(got) == 5  # the four above, then the join syndromes
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -341,14 +345,14 @@ def test_syndrome_table_stores_join_syndromes(q, m, d):
     _, powers, classes = _syndrome_table(spec)
     assert len(classes) == h
     for w, cls in enumerate(classes, start=1):
-        keys, syns = cls[0], cls[5]
+        keys, syns = cls[0], cls[4]
         if w <= p.T - h:
             assert syns.dtype == np.uint8
             assert np.array_equal(syns, keys[:, None] // powers % q)
         else:
             assert syns is None
     if (q, m, d) == (3, 3, 2):
-        assert classes[0][5].shape == (54, 17)
+        assert classes[0][4].shape == (54, 17)
     if (q, m, d) == (5, 2, 4):
         assert h == p.T
 
@@ -978,6 +982,18 @@ def test_registry_checks_the_codeword_against_the_witness():
         with pytest.raises(ValueError, match="not its witness evaluated"):
             decode_prm(gf, 2, 2, cw, decoders=decoders)
 
+    # a return that is no DecodeResult, or a success whose witness is no
+    # Poly, raises ValueError naming the code, not AttributeError
+    def success_with(witness):
+        return lambda spec, r: DecodeResult.success(decode_exhaustive(spec, r).codeword,
+                                                    witness)
+
+    names_the_code = re.escape(f"decoder for {CodeSpec(RM, gf, 2, 2)}")
+    for bad in (lambda spec, r: None, lambda spec, r: "BeyondRadius", success_with(None),
+                success_with(np.array([1, 0, 2, 1, 0, 0], dtype=np.int32))):
+        with pytest.raises(ValueError, match=names_the_code):
+            decode_prm(gf, 2, 2, cw, decoders=AffineDecoders().register(2, 2, bad))
+
 
 @pytest.mark.parametrize("q,m,d,decode,weights", [
     (5, 2, 4, decode_prm, (3, 4, 5)), (3, 3, 2, decode_prm_robust, (6, 7, 8)),
@@ -1156,6 +1172,22 @@ def test_prm_strict_inconsistent_base():
     assert not out.ok and out.failure in ("Inconsistent", "BeyondRadius")
 
 
+def test_top_level_failure_kinds():
+    # a level fails with None; the entry reads that as NotInCode (robust) or
+    # Inconsistent (strict) when the top code is its own base case, weight
+    # <= 2 as on PRM(1,4)/GF(5), and as BeyondRadius otherwise, as on
+    # PRM(1,2)/GF(5), weight 4, where this word is two symbols from 0
+    gf = GF(5)
+    assert prm_weight(5, 1, 4) == 2 and prm_weight(5, 1, 2) == 4
+    r = gf.zeros(6)
+    r[0] = 1
+    assert decode_prm_robust(gf, 1, 4, r).failure == "NotInCode"
+    assert decode_prm(gf, 1, 4, r).failure == "Inconsistent"
+    r = np.array([0, 0, 0, 0, 1, 1], dtype=np.int32)
+    for decode in (decode_prm, decode_prm_robust):
+        assert decode(gf, 1, 2, r).failure == "BeyondRadius"
+
+
 def test_prm_input_validation():
     gf = GF(3)
     with pytest.raises(ValueError):
@@ -1190,6 +1222,18 @@ def test_public_entries_reject_out_of_range_symbols():
             for word in ([0] * (n - 1) + [bad], np.array([bad] + [0] * (n - 1))):
                 with pytest.raises(ValueError, match="out of range"):
                     call(word)
+
+
+def test_decode_prm_rejects_a_symbol_past_int32():
+    # a PRM(2,4)/GF(5) codeword with one int64 symbol raised by 2^32: narrowed
+    # to int32 before the range check, it would decode as the codeword
+    gf = GF(5)
+    spec = CodeSpec(PRM, gf, 2, 4)
+    cw, _ = encode(spec, np.arange(code_params(spec).k) % 5)
+    r = cw.astype(np.int64)
+    r[3] += 2 ** 32
+    with pytest.raises(ValueError, match="out of range"):
+        decode_prm(gf, 2, 4, r)
 
 
 def test_decode_prm_checks_the_word_once(monkeypatch):

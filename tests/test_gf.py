@@ -222,3 +222,21 @@ def test_zeros_and_asarray():
         gf.asarray([0, 3])
     with pytest.raises(ValueError):
         gf.asarray([-1])
+    # values are range-checked as given, before they are narrowed to int32:
+    # 2^32 + 1 would wrap to 1, and 1.7 truncate to 1
+    gf = GF(5)
+    with pytest.raises(ValueError, match="out of range"):
+        gf.asarray(np.array([2 ** 32 + 1, 0]))
+    with pytest.raises(ValueError, match="out of range"):
+        gf.asarray(np.array([2 ** 32 + 1, 0], dtype=np.uint64))
+    for word in ([1.7, 2.2], np.array([1.0, 2.0]), np.array([1 + 0j]),
+                 np.array([1], dtype=object), np.array(["1"]), [2 ** 70]):
+        with pytest.raises(ValueError, match="must be integers"):
+            gf.asarray(word)
+    for word in ([], np.array([], dtype=float)):
+        assert gf.asarray(word).dtype == np.int32 and gf.asarray(word).shape == (0,)
+    word = np.array([4, 0, 1], dtype=np.int32)
+    assert gf.asarray(word) is word  # int32 input is returned as it is
+    for dtype in (np.int64, np.uint8, np.uint64, bool):
+        got = gf.asarray(np.array([1, 0], dtype=dtype))
+        assert got.dtype == np.int32 and got.tolist() == [1, 0]

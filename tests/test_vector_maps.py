@@ -4,7 +4,11 @@ random coefficient vectors over the source basis, moving each coefficient to
 its mapped position in the target basis must give exactly the polynomial the
 ring map gives.  The same holds for the two positions a decoder level reads
 off the bases, its tail slice (embed_poly) and its top positions (the
-good_top part of split_bad_good).  Prime fields, GF(2^e) and GF(9); degrees
+good_top part of split_bad_good).  A level reads every codeword off blocks
+of its own evaluation matrix, so those are checked too: its tail rows over
+the tail points are the PRM(m-1, d) evaluation matrix, over the chart they
+give the replicated scaled tail codeword, and its RM(m, d-1) positions are
+the prefix of its RM(m, d) ones.  Prime fields, GF(2^e) and GF(9); degrees
 below, at and above q-1 (where the decoder splits); lifts to degrees far
 past 2^64."""
 
@@ -12,8 +16,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prmcodes.codes import PRM, _eval_matrix, replicate_scaled
 from prmcodes.decoders import _level
 from prmcodes.gf import GF
+from prmcodes.linalg import vec_mat
 from prmcodes.poly import (Poly, _homogenize_map, _lift_map, _reduce_map,
                            affine_basis, embed_poly, homogenize, lift_to_degree,
                            projective_basis, reduce_mod_affine, split_bad_good)
@@ -124,3 +130,27 @@ def test_level_top_is_good_top(level, data):
     want = split_bad_good(poly_of(gf, m + 1, mons, coeffs), d).good_top
     assert poly_of(gf, m + 1, [mons[i] for i in top],
                    [coeffs[i] for i in top]) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(levels(), st.data())
+def test_tail_rows_of_the_level_matrix(level, data):
+    # the level reads the tail's codeword off g[tail, q^m:], the PRM(m-1, d)
+    # evaluation matrix, and its replicated scaled copy off g[tail, :q^m]
+    gf, m, d = level
+    lv, chart = _level(gf, m, d), gf.q ** m
+    assert np.array_equal(lv.g[lv.tail, chart:], _eval_matrix(gf, PRM, m - 1, d)[1])
+    w = np.array(coeffs_over(data.draw, gf, projective_basis(gf, m - 1, d)), dtype=np.int32)
+    v = vec_mat(gf, w, lv.g[lv.tail, chart:])
+    assert np.array_equal(vec_mat(gf, w, lv.g[lv.tail, :chart]), replicate_scaled(gf, v, d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(levels())
+def test_level_low_is_the_homogenize_map(level):
+    # affine_basis lists its monomials by degree, so the RM(m, d-1) map is
+    # the prefix of the RM(m, d) one
+    gf, m, d = level
+    lv = _level(gf, m, d)
+    assert np.array_equal(lv.low, _homogenize_map(gf, m, d - 1, d))
+    assert np.array_equal(lv.low, lv.hom[:len(lv.low)])
