@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .gf import DTYPE, GF
+from .gf import GF
 from .geometry import affine_array, num_projective_points, projective_array
 from .poly import Poly, _monomial_values, affine_basis, projective_basis
 
@@ -191,15 +191,13 @@ def code_params(spec):
 # --- generator matrices, encoding, interpolation ---
 
 def basis_monomials(spec):
-    if spec.family == PRM:
-        return projective_basis(spec.gf, spec.m, spec.d)
-    return affine_basis(spec.gf, spec.m, spec.d)
+    return _eval_matrix(spec.gf, spec.family, spec.m, spec.d)[0]
 
 
-# the evaluated basis, read by generator_matrix, _solver and the recursive
-# decoder; keyed without a CodeSpec because the recursive decoder also
-# interpolates where d exceeds m(q-1) and the code fills the whole space,
-# which CodeSpec rejects
+# the basis and its evaluations, read by basis_monomials, generator_matrix,
+# _solver and the recursive decoder; keyed without a CodeSpec because the
+# recursive decoder also interpolates where d exceeds m(q-1) and the code
+# fills the whole space, which CodeSpec rejects
 
 @lru_cache(maxsize=None)
 def _eval_matrix(gf, family, m, d):
@@ -275,18 +273,12 @@ def replicate_scaled(gf, v, d):
 
     For |v| = p_{m-1} this is the length-q^m expansion aligned with the
     affine point ordering; a projective codeword v expands to the affine
-    evaluation of the lift of its polynomial.  It is one broadcast product
-    of the scales and v, then the 0.
+    evaluation of the lift of its polynomial.  The scale s^(jd) is entry
+    jd mod (q-1) of the field's antilog table, so the expansion is one
+    gather of the scales, one broadcast product of them and v, then the 0.
     """
     v = gf.asarray(v)
     out = gf.zeros((gf.q - 1) * len(v) + 1)
-    out[:-1] = gf.mul(_scales(gf, d), v).ravel()
+    scales = gf.antilog_table[np.arange(gf.q - 1) * d % (gf.q - 1)]
+    out[:-1] = gf.mul(scales[:, None], v).ravel()
     return out
-
-
-@lru_cache(maxsize=None)
-def _scales(gf, d):
-    # the column s^(0d), s^d, ..., s^((q-2)d), s primitive
-    col = np.array([gf.pow(gf.xi, s * d) for s in range(gf.q - 1)], dtype=DTYPE)
-    col.setflags(write=False)
-    return col[:, None]

@@ -30,7 +30,9 @@ chooser names an engine (scan, syndrome, member, rs or registered) and
 hands over its vector engine, which returns the witness vector alone, or
 None beyond the radius, and the recursion runs that engine and names it in
 the call's trace event.  The exhaustive decoder's routes, and the
-rule that picks one, are those of decode_exhaustive.
+rule that picks one, are those of decode_exhaustive; its codeword scan
+reads the witness of the word it matched off that word's index in the
+codebook, the index's base-q digits, and solves nothing.
 
 Inside the recursion a witness is a coefficient vector over a cached monomial
 basis (affine_basis for the affine engines, projective_basis for a level's).
@@ -281,10 +283,13 @@ def _codebook(spec):
     """(offsets, block): spans of the leading and of the last generator rows.
 
     The block takes as many last rows as fit in 2^16 words; every codeword
-    is one offset plus one block word.  Both are position-major, one row
-    per code position and one column per word.  The block, which the scan
-    reads in full per offset, holds one byte per symbol (uint8) for
-    q <= 256 and two (uint16) above; the offsets stay in the field dtype.
+    is one offset plus one block word.  Offset o plus block word j, lo the
+    number of leading rows, is the codeword whose coefficient of generator
+    row t is base-q digit t of o + q^lo j: the scan's witness.  Both are
+    position-major, one row per code position and one column per word.  The
+    block, which the scan reads in full per offset, holds one byte per
+    symbol (uint8) for q <= 256 and two (uint16) above; the offsets stay in
+    the field dtype.
     """
     gf, g = spec.gf, generator_matrix(spec)
     lo = _offset_rows(gf.q, len(g))
@@ -296,19 +301,22 @@ def _codebook(spec):
 
 
 def _scan_codewords(spec, r, cap_t):
-    # nearest block word to r - offset, one offset at a time.  A block of at
-    # most _SCAN_AT_ONCE words is compared with r - offset in one call.  In
-    # a larger one the distance of every block word is counted position by
-    # position in a counter that holds n, so each step is one compare and one
-    # add over a contiguous row
-    gf = spec.gf
+    # the codeword-scan route of decode_exhaustive: the nearest block word to
+    # r - offset, one offset at a time, and the witness of the first one
+    # within cap_t, or None.  Offset o plus block word j is codeword
+    # i = o + q^lo j of the span, whose witness is the k base-q digits of i,
+    # least significant first.  A block of at most _SCAN_AT_ONCE words is
+    # compared with r - offset in one call.  In a larger one the distance of
+    # every block word is counted position by position in a counter that
+    # holds n, so each step is one compare and one add over a contiguous row
+    gf, q, k = spec.gf, spec.gf.q, code_params(spec).k
     offsets, block = _codebook(spec)
     n, words = block.shape
     at_once = words <= _SCAN_AT_ONCE
     if not at_once:
         hit = np.empty(words, dtype=bool)
         dist = np.empty(words, dtype=np.min_scalar_type(n))
-    for offset in offsets.T:
+    for o, offset in enumerate(offsets.T):
         target = gf.sub(r, offset).astype(block.dtype)
         if at_once:
             dist = np.count_nonzero(block != target[:, None], axis=0)
@@ -319,7 +327,8 @@ def _scan_codewords(spec, r, cap_t):
                 dist += hit.view(np.uint8)  # a uint8 add; adding bools is slower
         j = int(np.argmin(dist))
         if dist[j] <= cap_t:
-            return gf.add(block[:, j], offset)
+            i = o + offsets.shape[1] * j
+            return np.array([i // q ** t % q for t in range(k)], dtype=DTYPE)
     return None
 
 
@@ -473,10 +482,11 @@ def decode_exhaustive(spec, r, bound=None):
 
     The codeword scan reads a cached position-major codebook of up to 2^16
     words, one byte per symbol for q <= 256 and two above, once per span
-    word of the remaining leading generator rows; the codeword it returns
-    is in the field dtype, like every other result.  A codebook block of at
+    word of the remaining leading generator rows.  A codebook block of at
     most 2^10 words is compared with the word in one call; a larger one
-    position by position.
+    position by position.  The witness of the codeword it matches is the
+    base-q digits of that codeword's index in the span of the generator
+    rows, so the scan neither builds the codeword nor interpolates it.
 
     The syndrome lookup stores the error patterns of weights 1..h only, the
     most classes that fit in 2^18 patterns but at least ceil(T/2) of them.
@@ -487,12 +497,6 @@ def decode_exhaustive(spec, r, bound=None):
     so a join is one subtraction and one key product, with no division.
     """
     return _affine_entry(spec, r, _exhaustive_engine, bound)
-
-
-def _scan_route(spec, r, cap_t):
-    # the codeword-scan route of decode_exhaustive
-    cw = _scan_codewords(spec, r, cap_t)
-    return None if cw is None else _interpolate(spec, cw)
 
 
 def _syndrome_route(spec, r, cap_t):
@@ -517,7 +521,7 @@ def _route(spec):
     q, n, k, cap_t = spec.gf.q, params.n, params.k, params.T
     if cap_t == 0:
         return (("member", 0, _decode_member),)
-    scan = ("scan", q ** k, partial(_scan_route, cap_t=cap_t))
+    scan = ("scan", q ** k, partial(_scan_codewords, cap_t=cap_t))
     if q ** (n - k) >= 2 ** 62:
         return (scan,)
     patterns = sum(_patterns(q, n, w) for w in range(1, cap_t + 1))
@@ -990,24 +994,14 @@ def check_error_pattern(gf, m, d, e):
     wt(e) must be below wt(PRM(m, d))/2, and for some level i the nested tail
     blocks must be cleanly decodable: every tail of length p_j (i < j <= m)
     carries fewer than wt(PRM(j, d))/2 errors, and the p_i tail fewer than
-    eta(i, d)/2.
+    eta(i, d)/2.  The first condition follows from the second: the tail p_m
+    is all of e, and eta(m, d) <= wt(PRM(m, d)).  Each tail's weight is
+    counted once.
     """
     e = gf.asarray(e)
     q = gf.q
     if e.shape != (num_projective_points(q, m),):
         raise ValueError("pattern length mismatch")
-    if not 2 * weight(e) < prm_weight(q, m, d):
-        return False
-    for i in range(m + 1):
-        tail_i = e[len(e) - num_projective_points(q, i):]
-        if not 2 * weight(tail_i) < eta(q, i, d):
-            continue
-        ok = True
-        for j in range(i + 1, m + 1):
-            tail_j = e[len(e) - num_projective_points(q, j):]
-            if not 2 * weight(tail_j) < prm_weight(q, j, d):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    tails = [weight(e[len(e) - num_projective_points(q, i):]) for i in range(m + 1)]
+    clean = [2 * tails[j] < prm_weight(q, j, d) for j in range(1, m + 1)]
+    return any(2 * tails[i] < eta(q, i, d) and all(clean[i:]) for i in range(m + 1))

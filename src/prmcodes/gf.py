@@ -125,13 +125,15 @@ class GF:
     """
 
     def __init__(self, p, e=1):
-        if _prime_factors(p) != [p]:
-            raise ValueError(f"p = {p} is not prime")
+        # the size first, so no huge p is factored and no huge p^e computed:
+        # p >= 2, so q <= 2^16 needs e <= 16
         if e < 1:
             raise ValueError(f"e = {e} must be >= 1")
+        if p >= 2 and (e > 16 or p ** e > MAX_Q):
+            raise ValueError(f"q = {p}^{e} exceeds the supported range {MAX_Q}")
+        if _prime_factors(p) != [p]:
+            raise ValueError(f"p = {p} is not prime")
         q = p ** e
-        if q > MAX_Q:
-            raise ValueError(f"q = {q} exceeds the supported range {MAX_Q}")
         self.p = p
         self.e = e
         self.q = q
@@ -157,6 +159,8 @@ class GF:
         """Build the field of order q, factoring q = p^e."""
         if q < 2:
             raise ValueError(f"q = {q} is not a prime power")
+        if q > MAX_Q:
+            raise ValueError(f"q = {q} exceeds the supported range {MAX_Q}")
         factors = _prime_factors(q)
         if len(factors) != 1:
             raise ValueError(f"q = {q} is not a prime power")
@@ -264,9 +268,6 @@ class GF:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self.antilog_table[(-int(self.log_table[a])) % (self.q - 1)])
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def pow(self, a, k):
         """a**k; k may be negative for nonzero a, and pow(a, q-1) = 1."""

@@ -55,10 +55,8 @@ def kernel(gf, mat):
     cols = a.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     out = gf.zeros((len(free), cols))
-    for i, fc in enumerate(free):
-        out[i, fc] = 1
-        for j, pc in enumerate(pivots):
-            out[i, pc] = gf.neg(int(rref[j, fc]))
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = gf.neg(rref[:len(pivots), free].T)
     return out
 
 

@@ -64,6 +64,13 @@ def test_params_invalid_degree_is_usage_error(capsys):
     assert "error:" in err
 
 
+def test_params_oversized_field_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "params", "--q", "1000000000000000003", "--m", "1",
+                           "--d", "1")
+    assert code == EXIT_USAGE
+    assert "exceeds" in err
+
+
 def test_params_out_file(tmp_path, capsys):
     target = tmp_path / "params.txt"
     code, out, _ = run_cli(capsys, "params", "--q", "4", "--m", "2", "--d", "3",

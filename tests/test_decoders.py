@@ -23,11 +23,12 @@ from prmcodes.decoders import (_SCAN_AT_ONCE, DEFAULT_ENUM_BOUND,
                                AffineDecoders, DecodeResult,
                                EnumerationBoundError, _codebook,
                                _exhaustive_engine, _interpolate_line, _pack, _route,
-                               _scan_codewords, _scan_route, _stored_weights,
+                               _offset_rows, _scan_codewords, _stored_weights,
                                _syndrome_route, _syndrome_table,
                                check_error_pattern, decode_exhaustive,
                                decode_prm, decode_prm_robust,
                                decode_rs_affine, exhaustive_decoders, weight)
+from prmcodes.geometry import num_projective_points
 from prmcodes.gf import DTYPE, GF
 from prmcodes.linalg import kernel, vec_mat
 from prmcodes.poly import Poly, eval_affine, eval_projective, parse_poly
@@ -93,6 +94,8 @@ def test_exhaustive_matches_nearest_codeword_scan():
                                      (PRM, 4, 1, 2, False), (RM, 7, 2, 2, True)]:
         spec = spec_of(family, q, m, d)
         gf, p = spec.gf, code_params(spec)
+        if planted:  # the scan route, over offsets of one leading row
+            assert _route(spec)[0][0] == "scan" and _offset_rows(q, p.k) == 1
         book = codebook(spec)
         verdicts = set()
         for i in range(40):
@@ -210,6 +213,33 @@ def test_scan_codes_cover_both_scan_paths(monkeypatch):
     assert set(at_once.values()) == {True, False}
     assert _codebook(scan_case(RM, 32, 1, 1)[0])[1].shape[1] == _SCAN_AT_ONCE
     assert at_once[(RM, 32, 1, 1)]
+
+
+def test_scan_reads_its_witness_off_the_codebook(monkeypatch):
+    # the scan returns the witness of the span column it matched, so no
+    # scan-routed decode interpolates: _coefficients and _solver never run
+    calls = []
+    for name in ("codes._coefficients", "decoders._coefficients", "codes._solver"):
+        module, attr = name.split(".")
+        module = sys.modules["prmcodes." + module]
+        real = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    rng = np.random.default_rng(19)
+    decoded = 0
+    for code in SCAN_CODES + [(RM, 7, 2, 2)]:
+        spec = spec_of(*code)
+        p = code_params(spec)
+        assert _route(spec)[0][0] == "scan", code
+        for w in (0, p.T, p.T + 1):
+            msg = rng.integers(0, spec.gf.q, size=p.k)
+            r = spec.gf.add(encode(spec, msg)[0], random_error(spec.gf, rng, p.n, w))
+            out = decode_exhaustive(spec, r)
+            if w <= p.T:
+                assert out.ok and np.array_equal(out.codeword, encode(spec, msg)[0])
+                decoded += 1
+    assert decoded == 2 * (len(SCAN_CODES) + 1)
+    assert calls == []
 
 
 def test_exhaustive_beyond_radius_explicit():
@@ -459,9 +489,10 @@ def test_scan_and_syndrome_routes_agree(code, planted, data):
         r = gf.asarray(data.draw(st.lists(st.integers(0, gf.q - 1), min_size=p.n,
                                           max_size=p.n)))
     # each route returns its witness vector, or None beyond the radius
-    scan, syndrome = _scan_route(spec, r, p.T), _syndrome_route(spec, r, p.T)
+    scan, syndrome = _scan_codewords(spec, r, p.T), _syndrome_route(spec, r, p.T)
     assert (scan is None) == (syndrome is None)
     if scan is not None:
+        assert scan.dtype == syndrome.dtype == DTYPE
         assert np.array_equal(scan, syndrome)
         assert weight(gf.sub(r, vec_mat(gf, scan, generator_matrix(spec)))) <= p.T
 
@@ -1317,6 +1348,30 @@ def test_robust_clean_tail_patterns_beyond_strict_radius():
         assert out.ok and np.array_equal(out.codeword, cw)
         hits += 1
     assert hits == 60
+
+
+def test_check_error_pattern_verdicts_digest():
+    # verdicts on 3600 random patterns, half of them inside the tail P^(m-1)
+    # where the per-level conditions bite, pinned by a sha256 taken from the
+    # nested-loop form of check_error_pattern
+    rng = np.random.default_rng(2020)
+    verdicts = bytearray()
+    for q, m, d in [(4, 2, 3), (3, 3, 2), (5, 2, 4), (3, 2, 3), (2, 3, 2), (5, 1, 3)]:
+        gf = GF.from_order(q)
+        n, tail = num_projective_points(q, m), num_projective_points(q, m - 1)
+        wt = prm_weight(q, m, d)
+        code = bytearray()
+        for i in range(600):
+            e = gf.zeros(n)
+            lo = n - tail if i % 2 else 0
+            w = int(rng.integers(0, min(wt, n - lo) + 1))
+            sup = lo + rng.choice(n - lo, size=w, replace=False)
+            e[sup] = rng.integers(1, q, size=w)
+            code.append(check_error_pattern(gf, m, d, e))
+        assert 0 < sum(code) < len(code), (q, m, d)
+        verdicts += code
+    assert hashlib.sha256(verdicts).hexdigest() == (
+        "18529fc60a80d719f35e418bfa410da53781e0c2e31bf3e17f94b37bc5c77b46")
 
 
 def test_check_error_pattern_goldens():

@@ -52,6 +52,9 @@ def test_from_order():
         GF.from_order(12)
     with pytest.raises(ValueError):
         GF.from_order(1)
+    for q in (10 ** 18 + 3, 2 ** 16 + 1):
+        with pytest.raises(ValueError, match="exceeds"):
+            GF.from_order(q)
 
 
 def test_invalid_construction():
@@ -61,6 +64,13 @@ def test_invalid_construction():
         GF(6)
     with pytest.raises(ValueError):
         GF(2, 0)
+    # the size is checked first: no 10^18 + 3 is factored by trial division
+    # and no 2^(10^8) is computed
+    for p, e in ((10 ** 18 + 3, 1), (2, 10 ** 8), (2, 17), (257, 2)):
+        with pytest.raises(ValueError, match="exceeds"):
+            GF(p, e)
+    with pytest.raises(ValueError, match="not prime"):
+        GF(1, 10 ** 8)
 
 
 # --- field axioms, exhaustively on small fields ---
