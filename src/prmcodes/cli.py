@@ -21,8 +21,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .codes import (PRM, RM, CodeSpec, NotInCodeError, code_params, encode,
-                    replicate_scaled)
+from .codes import (PRM, RM, CodeSpec, NotInCodeError, _check_size, code_params,
+                    encode, replicate_scaled)
 from .decoders import (EnumerationBoundError, decode_prm, decode_prm_robust,
                        exhaustive_decoders, weight)
 from .gf import GF
@@ -109,6 +109,8 @@ def cmd_encode(args):
     gf = GF.from_order(args.q)
     spec = CodeSpec(_family(args.family), gf, args.m, args.d)
     if args.poly is not None:
+        # refused by the cap that refuses encoding a message, before any point
+        _check_size(spec.family, gf.q, args.m, args.d, built=True)
         f = parse_poly(gf, args.poly, args.m + 1)
         if spec.family == PRM:
             if f.terms and (not f.is_homogeneous or f.degree != args.d):

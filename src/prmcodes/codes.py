@@ -7,9 +7,13 @@ Two families over GF(q):
   PRM(m, d): length p_m = (q^(m+1)-1)/(q-1), evaluations over P^m of the
              degree-d forms in m+1 variables.
 
-Parameters come from exact integer formulas and are cross-checked against an
-independent monomial count; eta is the projective decoder's guaranteed
-decoding diameter, computed by two routes and asserted equal.
+Each parameter is one closed form, and the projective ones are stated through
+the affine ones: wt(PRM(m, d)) = wt(RM(m, d-1)), and dim PRM(m, d) sums
+dim RM(j, d-1) over the lead-variable blocks j = 0..m of the projective basis.
+eta is the projective decoder's guaranteed decoding diameter.  One cap of
+2^26 elements bounds a code's k x n evaluation matrix: a code whose length
+alone passes it is refused where it is named, any other before its basis,
+points or matrix are enumerated.
 """
 
 from dataclasses import dataclass
@@ -33,6 +37,11 @@ class NotInCodeError(ValueError):
 
 # --- parameter formulas ---
 
+# the cap on a code's k x n evaluation matrix, in elements, checked from the
+# closed forms (see _check_size)
+_MAX_ELEMENTS = 2 ** 26
+
+
 def rm_weight(q, m, d):
     """Minimum distance of RM(m, d); 1 once d reaches m(q-1)."""
     if d < 0:
@@ -44,98 +53,80 @@ def rm_weight(q, m, d):
 
 
 def prm_weight(q, m, d):
-    """Minimum distance of PRM(m, d); 1 once d exceeds m(q-1)."""
+    """Minimum distance of PRM(m, d), that of RM(m, d-1); 1 once d exceeds m(q-1)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    if d > m * (q - 1):
-        return 1
-    nu, mu = divmod(d - 1, q - 1)
-    return (q - mu) * q ** (m - nu - 1)
+    return rm_weight(q, m, d - 1)
 
 
 def eta(q, m, d):
     """Guaranteed decoding diameter of the recursive projective decoder.
 
     Half of this quantity bounds the correctable error weight: one affine
-    minimum distance is spent per recursion level, so eta is the sum of
-    wt(RM(m - i, d)) over the levels the recursion visits, plus 1.  Computed
-    by that sum and by a closed form, asserted equal.  eta <= wt(PRM(m, d)),
-    with equality exactly when mu = 0 or nu = m - 1.
+    minimum distance is spent per recursion level, so eta is 1 plus the sum
+    of wt(RM(m - i, d)) over the m - nu levels the recursion visits, with
+    nu, mu = divmod(d - 1, q - 1).  That sum is wt(PRM(m, d)) less
+    mu (q^(m-nu-1) - 1)/(q - 1), so eta <= wt(PRM(m, d)), with equality
+    exactly when mu = 0 or nu = m - 1.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    wt = prm_weight(q, m, d)
     if d > m * (q - 1):
-        return 1
+        return wt
     nu, mu = divmod(d - 1, q - 1)
-    closed = (q - mu) * q ** (m - nu - 1) - mu * (q ** (m - nu - 1) - 1) // (q - 1)
-    levels = 1 + sum(rm_weight(q, m - i, d) for i in range(m - nu))
-    if closed != levels:
-        raise AssertionError(f"eta mismatch for q={q} m={m} d={d}")
-    return closed
+    return wt - mu * (q ** (m - nu - 1) - 1) // (q - 1)
 
 
 def rm_dimension(q, m, d):
-    """Number of reduced monomials of degree <= d, by inclusion-exclusion."""
+    """Number of reduced monomials of degree <= d in m variables.
+
+    Inclusion-exclusion over the i exponents that reach q, each such count
+    a stars-and-bars count of degree <= d - iq.
+    """
     if d < 0:
         raise ValueError("d must be >= 0")
-    k = 0
-    for t in range(d + 1):
-        for j in range(m + 1):
-            a = t - j * q
-            if a < 0:
-                break
-            k += (-1) ** j * comb(m, j) * comb(a + m - 1, a)
-    return k
+    return sum((-1) ** i * comb(m, i) * comb(d - i * q + m, m)
+               for i in range(min(m, d // q) + 1))
 
 
 def prm_dimension(q, m, d):
-    """Dimension of PRM(m, d), by inclusion-exclusion over degrees = d mod q-1."""
+    """Dimension of PRM(m, d): the sum of rm_dimension(q, j, d-1), j = 0..m.
+
+    projective_basis has one block per lead variable: the j variables after
+    it carry a reduced monomial of degree <= d - 1 and the lead takes the
+    rest of the degree, at least 1.  The hockey-stick identity folds the sum
+    over j of rm_dimension's inclusion-exclusion into this one sum.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
-    k = 0
-    for t in range(1, d + 1):
-        if (d - t) % (q - 1):
-            continue
-        for j in range(m + 2):
-            a = t - j * q
-            if a < 0:
-                break
-            k += (-1) ** j * comb(m + 1, j) * comb(a + m, a)
-    return k
+    return sum((-1) ** i * comb(d - 1 - i * q + i, i) * comb(d - i * q + m, m - i)
+               for i in range(min(m, (d - 1) // q) + 1))
 
 
-# independent count of the same monomial sets, by convolution rather than
-# inclusion-exclusion; used as a construction-time cross-check
+def _check_size(family, q, m, d, built):
+    """Raise ValueError where the code's k x n evaluation matrix passes the cap.
 
-@lru_cache(maxsize=None)
-def _bounded_sum_counts(parts, cap, upto):
-    c = [1] + [0] * upto
-    for _ in range(parts):
-        c = [sum(c[t - v] for v in range(min(cap, t) + 1)) for t in range(upto + 1)]
-    return tuple(c)
-
-
-def _rm_monomial_count(q, m, d):
-    counts = _bounded_sum_counts(m, q - 1, min(d, m * (q - 1)))
-    return sum(counts)
-
-
-def _prm_monomial_count(q, m, d):
-    total = 0
-    for lead in range(m + 1):
-        trail = m - lead
-        counts = _bounded_sum_counts(trail, q - 1, min(d - 1, trail * (q - 1)))
-        for a in range(1, d + 1):
-            if d - a <= trail * (q - 1):
-                total += counts[d - a]
-    return total
+    A code is named (code_params, and so CodeSpec) with built False: only its
+    length n is checked, since k >= 1, so a length past the cap refuses the
+    code before any sum is worked out.  Its basis, points and matrix are
+    enumerated (_eval_matrix) with built True, after k x n is checked too.
+    """
+    n = q ** m if family == RM else num_projective_points(q, m)
+    dimension = rm_dimension if family == RM else prm_dimension
+    if n > _MAX_ELEMENTS or built and n * dimension(q, m, d) > _MAX_ELEMENTS:
+        raise ValueError(
+            f"{family}(m={m}, d={d}) over GF({q}) is too large: its k x n "
+            f"evaluation matrix has more than {_MAX_ELEMENTS} elements")
 
 
 # --- specs and parameters ---
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """One code: family RM or PRM over gf, m variables axes, degree d."""
+    """One code: family RM or PRM over gf, m variables axes, degree d.
+
+    Raises ValueError for a degree out of range, and for a code whose length
+    alone passes the size cap (see _check_size).
+    """
     family: str
     gf: GF
     m: int
@@ -152,6 +143,7 @@ class CodeSpec:
             raise ValueError(
                 f"degree {self.d} out of range [{lo}, {top}] for "
                 f"{self.family} over GF({self.gf.q}) with m={self.m}")
+        code_params(self)
 
     @property
     def n(self):
@@ -172,19 +164,19 @@ class CodeParams:
 
 @lru_cache(maxsize=None)
 def code_params(spec):
+    """The code's parameters, from the closed forms above.
+
+    Raises ValueError, before any sum, when the code's length alone passes
+    the size cap of 2^26 evaluation-matrix elements.
+    """
     q, m, d = spec.gf.q, spec.m, spec.d
+    _check_size(spec.family, q, m, d, built=False)
     if spec.family == RM:
         wt = rm_weight(q, m, d)
-        k = rm_dimension(q, m, d)
-        if k != _rm_monomial_count(q, m, d):
-            raise AssertionError(f"dimension mismatch for {spec}")
-        return CodeParams(n=q ** m, k=k, wt=wt, eta=None, T=(wt - 1) // 2, T0=None)
-    wt = prm_weight(q, m, d)
-    k = prm_dimension(q, m, d)
-    if k != _prm_monomial_count(q, m, d):
-        raise AssertionError(f"dimension mismatch for {spec}")
-    et = eta(q, m, d)
-    return CodeParams(n=num_projective_points(q, m), k=k, wt=wt, eta=et,
+        return CodeParams(n=spec.n, k=rm_dimension(q, m, d), wt=wt, eta=None,
+                          T=(wt - 1) // 2, T0=None)
+    wt, et = prm_weight(q, m, d), eta(q, m, d)
+    return CodeParams(n=spec.n, k=prm_dimension(q, m, d), wt=wt, eta=et,
                       T=(wt - 1) // 2, T0=(et - 1) // 2)
 
 
@@ -201,6 +193,7 @@ def basis_monomials(spec):
 
 @lru_cache(maxsize=None)
 def _eval_matrix(gf, family, m, d):
+    _check_size(family, gf.q, m, d, built=True)
     if family == PRM:
         mons = projective_basis(gf, m, d)
         g = _monomial_values(gf, mons, projective_array(gf, m), 0)

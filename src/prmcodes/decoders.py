@@ -54,6 +54,8 @@ fresh witness Poly on each read; trace events get a Poly, and the tail and
 second-branch events their codewords v and u, only when a trace list is
 passed.
 
+decode_prm, decode_prm_robust and check_error_pattern first name their code
+as CodeSpec(PRM, gf, m, d), which checks m and d and the size cap of codes.
 A received word is checked once, where it enters: decode_prm,
 decode_prm_robust, decode_exhaustive, decode_rs_affine and the default
 engine behind AffineDecoders.decode (like interpolate_family, encode and
@@ -942,34 +944,44 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
     return f
 
 
+@lru_cache(maxsize=None)
+def _prm_params(gf, m, d):
+    # the code an entry point names, once per (gf, m, d): CodeSpec checks m,
+    # d and the size cap
+    return code_params(CodeSpec(PRM, gf, m, d))
+
+
 def _decode_entry(gf, m, d, r, decoders, strict, trace):
-    if m < 1 or not 1 <= d <= m * (gf.q - 1):
-        raise ValueError(f"no projective code with m={m}, d={d} over GF({gf.q})")
+    params = _prm_params(gf, m, d)
     r = gf.asarray(r)
-    n = num_projective_points(gf.q, m)
-    if r.shape != (n,):
-        raise ValueError(f"received word length {r.shape} != n = {n}")
+    if r.shape != (params.n,):
+        raise ValueError(f"received word length {r.shape} != n = {params.n}")
     f = _decode_level(gf, m, d, r, decoders or AffineDecoders(), strict, trace)
     if f is not None:
         return _pack(f, gf, PRM, m, d)
     # a top code of weight <= 2 is its own base case
-    base = prm_weight(gf.q, m, d) <= 2
-    return DecodeResult.fail(NOT_IN_CODE if base else BEYOND_RADIUS)
+    return DecodeResult.fail(NOT_IN_CODE if params.wt <= 2 else BEYOND_RADIUS)
 
 
 def decode_prm(gf, m, d, r, decoders=None, trace=None):
-    """Recursive projective decoding, guaranteed for wt(e) < eta/2.
+    """Recursive projective decoding, strict variant.
 
-    Strict variant: a base-case interpolation with no solution means the
-    caller violated the radius contract and yields Failure(Inconsistent)
-    immediately, with no fallback.
+    On a word c + e with wt(e) <= T0 = floor((eta-1)/2) it returns c or
+    Failure(Inconsistent), never another codeword and never another failure
+    kind.  A base-case interpolation with no solution yields
+    Failure(Inconsistent) at once, with no fallback.  Within T0 that happens
+    at m >= 3 with d >= q: the first branch can miscorrect the affine chart,
+    and the d >= q sub-recursion on the tail then reaches a base case with
+    no solution before the second branch runs.  decode_prm_robust decodes
+    those words.
 
     With the default engines this raises EnumerationBoundError (a
     RuntimeError) when an affine code the recursion reaches for m >= 2 is
     too large for decode_exhaustive, even on an error-free word.  It raises
     ValueError on a non-integer word, a symbol outside the field, a word of
-    the wrong length, a code that does not exist, or a registered affine
-    decoder whose return breaks the contract (see AffineDecoders).
+    the wrong length, a code that does not exist, a code or affine code past
+    the size cap of codes, or a registered affine decoder whose return
+    breaks the contract (see AffineDecoders).
     """
     try:
         return _decode_entry(gf, m, d, r, decoders, True, trace)
@@ -980,9 +992,10 @@ def decode_prm(gf, m, d, r, decoders=None, trace=None):
 def decode_prm_robust(gf, m, d, r, decoders=None, trace=None):
     """decode_prm with every internal failure downgraded to a branch failure.
 
-    Identical within the guaranteed radius, but keeps trying the remaining
-    branches when one block of the received word is hopeless; this recovers
-    all patterns accepted by check_error_pattern even past eta/2.  Raises
+    Returns what decode_prm returns wherever that is a success, but keeps
+    trying the remaining branches when one block of the received word is
+    hopeless; this recovers all patterns accepted by check_error_pattern,
+    which include every pattern of weight <= T0, even past eta/2.  Raises
     EnumerationBoundError and ValueError as decode_prm does.
     """
     return _decode_entry(gf, m, d, r, decoders, False, trace)
@@ -998,9 +1011,10 @@ def check_error_pattern(gf, m, d, e):
     is all of e, and eta(m, d) <= wt(PRM(m, d)).  Each tail's weight is
     counted once.
     """
+    n = _prm_params(gf, m, d).n
     e = gf.asarray(e)
     q = gf.q
-    if e.shape != (num_projective_points(q, m),):
+    if e.shape != (n,):
         raise ValueError("pattern length mismatch")
     tails = [weight(e[len(e) - num_projective_points(q, i):]) for i in range(m + 1)]
     clean = [2 * tails[j] < prm_weight(q, j, d) for j in range(1, m + 1)]

@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,25 @@ def test_params_oversized_field_is_usage_error(capsys):
                            "--d", "1")
     assert code == EXIT_USAGE
     assert "exceeds" in err
+
+
+def test_oversized_codes_are_usage_errors(capsys, no_enumeration):
+    # the size cap refuses each before any point, basis or matrix is built
+    for argv in (["params", "--q", "2", "--m", "100000", "--d", "1"],
+                 ["ratio-table", "--q", "2", "--m", "100000"],
+                 ["encode", "--q", "2", "--m", "24", "--d", "1", "--message", ",".join(["1"] * 25)],
+                 ["encode", "--q", "2", "--m", "24", "--d", "1", "--poly", "x0"],
+                 ["simulate", "--q", "2", "--m", "24", "--d", "1", "--errors", "1"]):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - started < 1.0
+        assert code == EXIT_USAGE and out == ""
+        assert "too large" in err
+    # params reads closed forms only, so it answers for a code whose matrix
+    # is past the cap but whose length is not
+    code, out, _ = run_cli(capsys, "params", "--q", "2", "--m", "24", "--d", "1")
+    assert code == EXIT_OK
+    assert out.strip() == "n=33554431,k=25,wt=16777216,eta=16777216,T=8388607,T0=8388607"
 
 
 def test_params_out_file(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Code parameters and encoding: frozen goldens from worked examples, plus
 dual-route checks where every closed-form value is recomputed here by brute
 force (minimum weight by codebook enumeration, dimension by distinct-codeword
-counting and rank)."""
+counting and rank, by a convolution count of the monomials and by the bases
+themselves, eta by its sum over the recursion levels), and the size cap."""
 
 import itertools
+import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from prmcodes.codes import (PRM, RM, CodeSpec, NotInCodeError, _solver,
                             prm_dimension, prm_weight, replicate_scaled,
                             rm_dimension, rm_weight)
 from prmcodes.gf import GF
-from prmcodes.poly import embed_poly, eval_projective
+from prmcodes.poly import affine_basis, embed_poly, eval_projective, projective_basis
 
 EX_CODEWORD = [1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1]
 
@@ -78,6 +81,36 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         CodeSpec(PRM, gf, 0, 1)
     CodeSpec(RM, gf, 2, 0)  # the constant code is fine
+
+
+def test_size_cap_admits_the_largest_codes_built():
+    # the cap bounds a code's k x n evaluation matrix at 2^26 elements
+    for family, q, m, d in [(RM, 521, 1, 520), (PRM, 4093, 1, 2046),
+                            (PRM, 2, 12, 12), (RM, 8191, 1, 8190), (RM, 2, 13, 13)]:
+        p = code_params(spec_of(family, q, m, d))
+        assert p.k * p.n <= 2 ** 26
+    assert code_params(spec_of(RM, 2, 13, 13)).k * 2 ** 13 == 2 ** 26
+    # a code only named, for its parameters, may have a larger matrix
+    p = code_params(spec_of(PRM, 9, 6, 48))
+    assert p.n < 2 ** 26 < p.k * p.n
+
+
+def test_size_cap_refuses_before_any_work(no_enumeration):
+    # a code whose length alone passes the cap is refused where it is named,
+    # any other before its basis, points or matrix are enumerated
+    for family, q, m, d in [(PRM, 2, 26, 1), (RM, 2, 27, 1), (RM, 2, 10 ** 5, 1),
+                            (PRM, 3, 10 ** 5, 2 * 10 ** 5)]:
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="too large"):
+            spec_of(family, q, m, d)
+        assert time.perf_counter() - started < 1.0
+    for family, q, m, d in [(PRM, 2, 24, 1), (RM, 8209, 1, 8208), (PRM, 2, 13, 13)]:
+        spec = spec_of(family, q, m, d)
+        for build in (generator_matrix, basis_monomials,
+                      lambda s: encode(s, [1] * code_params(s).k),
+                      lambda s: interpolate(s, s.gf.zeros(1))):
+            with pytest.raises(ValueError, match="too large"):
+                build(spec)
 
 
 # --- dual route: brute-force minimum weight vs the closed forms ---
@@ -143,6 +176,33 @@ def test_dimension_by_distinct_codewords():
         assert len(seen) == q ** k
 
 
+# an independent count of the same monomial sets, by convolution rather than
+# inclusion-exclusion
+
+@lru_cache(maxsize=None)
+def _bounded_sum_counts(parts, cap, upto):
+    # entry t: the ways to write t as `parts` ordered summands in [0, cap]
+    c = [1] + [0] * upto
+    for _ in range(parts):
+        c = [sum(c[t - v] for v in range(min(cap, t) + 1)) for t in range(upto + 1)]
+    return tuple(c)
+
+
+def _rm_monomial_count(q, m, d):
+    return sum(_bounded_sum_counts(m, q - 1, min(d, m * (q - 1))))
+
+
+def _prm_monomial_count(q, m, d):
+    # one block per lead variable: lead exponent a >= 1, then a reduced
+    # monomial of degree exactly d - a in the trailing variables
+    total = 0
+    for lead in range(m + 1):
+        trail = m - lead
+        counts = _bounded_sum_counts(trail, q - 1, min(d - 1, trail * (q - 1)))
+        total += sum(counts[d - a] for a in range(1, d + 1) if d - a <= trail * (q - 1))
+    return total
+
+
 def test_dimension_closed_form_values():
     # inclusion-exclusion spot values recomputed from scratch
     def rm_dim_oracle(q, m, d):
@@ -156,18 +216,39 @@ def test_dimension_closed_form_values():
         gf = GF.from_order(q)
         for d in range(1, m * (q - 1) + 1):
             assert prm_dimension(q, m, d) == len(basis_monomials(CodeSpec(PRM, gf, m, d)))
+    # both closed forms equal the convolution counts, and PRM's is the sum of
+    # RM(j, d-1) over the lead blocks j = 0..m, past the top degree too
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 27):
+        for m in range(0, 7):
+            for d in range(0, (m + 1) * (q - 1) + 3):
+                assert rm_dimension(q, m, d) == _rm_monomial_count(q, m, d)
+                if d >= 1:
+                    blocks = sum(rm_dimension(q, j, d - 1) for j in range(m + 1))
+                    assert prm_dimension(q, m, d) == _prm_monomial_count(q, m, d) == blocks
+    # and the lengths of the bases themselves, m = 0 included
+    for q in (2, 3, 4, 5):
+        gf = GF.from_order(q)
+        for m in range(0, 4):
+            for d in range(0, (m + 1) * (q - 1) + 3):
+                assert rm_dimension(q, m, d) == len(affine_basis(gf, m, d))
+                if d >= 1:
+                    assert prm_dimension(q, m, d) == len(projective_basis(gf, m, d))
 
 
 # --- eta identities ---
 
 def test_eta_summation_equals_closed_form():
-    for q in (3, 4, 5):
-        for m in (1, 2, 3, 4):
-            for d in range(1, m * (q - 1) + 1):
+    # eta is 1 plus the affine weights along the levels the recursion visits;
+    # past the top degree no level is visited and eta is 1
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for m in range(0, 7):
+            for d in range(1, (m + 1) * (q - 1) + 3):
                 nu, mu = divmod(d - 1, q - 1)
                 total = sum(rm_weight(q, m - i, d) for i in range(m - nu)) + 1
-                closed = (q - mu) * q ** (m - nu - 1) - mu * (q ** (m - nu - 1) - 1) // (q - 1)
-                assert eta(q, m, d) == total == closed
+                assert eta(q, m, d) == total
+                if d <= m * (q - 1):
+                    closed = (q - mu) * q ** (m - nu - 1) - mu * (q ** (m - nu - 1) - 1) // (q - 1)
+                    assert total == closed
 
 
 def test_eta_equals_weight_iff():

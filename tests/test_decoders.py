@@ -1229,6 +1229,26 @@ def test_prm_input_validation():
         decode_prm(gf, 2, 2, gf.zeros(12))
 
 
+def test_entries_name_their_code():
+    # the decoders and the pattern test name PRM(m, d) as a CodeSpec before
+    # they read the word, so each gets the same range check and size cap
+    gf = GF(3)
+    for call in (decode_prm, decode_prm_robust, check_error_pattern):
+        with pytest.raises(ValueError, match="out of range"):
+            call(gf, 2, 9, gf.zeros(13))
+        with pytest.raises(ValueError, match="out of range"):
+            call(gf, 2, 0, gf.zeros(13))
+        with pytest.raises(ValueError, match="m must be"):
+            call(gf, 0, 1, gf.zeros(1))
+        with pytest.raises(ValueError, match="too large"):
+            call(GF(2), 26, 1, [0])
+    # Gao's decoder builds the q x q matrix of RM(1, q-1), which passes the
+    # cap above q = 8191, so a line over a larger field is refused at decode
+    gf = GF(8209)
+    with pytest.raises(ValueError, match=r"RM\(m=1, d=8208\).*too large"):
+        decode_prm(gf, 1, 2, gf.zeros(8210))
+
+
 def test_public_entries_reject_out_of_range_symbols():
     # the recursion trusts the arrays it builds, so every public entry checks
     # the symbols it is given: a negative one and one >= q raise ValueError
@@ -1514,6 +1534,29 @@ def test_strict_base_violation_reported_at_depth():
             assert a.failure == "Inconsistent"
             found = r
     assert found is not None
+
+
+@pytest.mark.parametrize("q,m,d", [(3, 3, 4), (2, 4, 2), (2, 5, 2), (2, 5, 3),
+                                   (2, 6, 3), (2, 6, 4), (3, 3, 2), (3, 3, 3)])
+def test_strict_claim_within_t0_at_depth(q, m, d):
+    # what decode_prm claims at m >= 3: on a word within T0 it returns the
+    # sent codeword or Inconsistent, never another codeword or failure kind;
+    # decode_prm_robust returns the sent codeword
+    gf = GF(q)
+    spec = CodeSpec(PRM, gf, m, d)
+    p = code_params(spec)
+    rng = np.random.default_rng([q, m, d])
+    for w in range(p.T0 + 1):
+        for _ in range(60):
+            cw, _ = encode(spec, rng.integers(0, q, size=p.k))
+            r = gf.add(cw, random_error(gf, rng, p.n, w))
+            robust = decode_prm_robust(gf, m, d, r)
+            assert robust.ok and np.array_equal(robust.codeword, cw)
+            strict = decode_prm(gf, m, d, r)
+            if strict.ok:
+                assert np.array_equal(strict.codeword, cw)
+            else:
+                assert strict.failure == "Inconsistent"
 
 
 def test_weight_helper():
