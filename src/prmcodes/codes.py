@@ -13,7 +13,8 @@ dim RM(j, d-1) over the lead-variable blocks j = 0..m of the projective basis.
 eta is the projective decoder's guaranteed decoding diameter.  One cap of
 2^26 elements bounds a code's k x n evaluation matrix: a code whose length
 alone passes it is refused where it is named, any other before its basis,
-points or matrix are enumerated.
+points or matrix are enumerated.  The exhaustive decoder's codeword scan
+holds its codebook to the same cap (see decoders.decode_exhaustive).
 """
 
 from dataclasses import dataclass
@@ -237,20 +238,21 @@ def _solver(gf, family, m, d):
 
 
 def _coefficients(gf, family, m, d, vec):
-    # interpolate_family's coefficient vector over the basis, without the Poly;
-    # vec is an array of field elements, which the caller has checked
+    # interpolate_family's coefficient vector over the basis, without the Poly,
+    # or None where vec is not a codeword; vec is an array of field elements,
+    # which the caller has checked
     g, pivots, inv = _solver(gf, family, m, d)
     if vec.shape != (g.shape[1],):
         raise ValueError(f"vector length {vec.shape} != n = {g.shape[1]}")
     msg = linalg.vec_mat(gf, vec[pivots], inv)
-    if not np.array_equal(linalg.vec_mat(gf, msg, g), vec):
-        raise NotInCodeError(f"vector is not in {family}(m={m}, d={d}) over GF({gf.q})")
-    return msg
+    return msg if np.array_equal(linalg.vec_mat(gf, msg, g), vec) else None
 
 
 def interpolate_family(gf, family, m, d, vec):
     """Polynomial over the canonical basis with evaluation `vec`."""
     msg = _coefficients(gf, family, m, d, gf.asarray(vec))
+    if msg is None:
+        raise NotInCodeError(f"vector is not in {family}(m={m}, d={d}) over GF({gf.q})")
     return Poly(gf, m + 1, zip(_eval_matrix(gf, family, m, d)[0], msg))
 
 

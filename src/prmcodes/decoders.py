@@ -81,8 +81,8 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .codes import (PRM, RM, CodeSpec, NotInCodeError, _coefficients,
-                    _eval_matrix, code_params, eta, generator_matrix, prm_weight)
+from .codes import (_MAX_ELEMENTS, PRM, RM, CodeSpec, _coefficients, _eval_matrix,
+                    code_params, eta, generator_matrix, prm_weight)
 from .geometry import num_projective_points
 from .gf import DTYPE
 from .poly import (Poly, _homogenize_map, _lift_map, _reduce_map,
@@ -273,11 +273,18 @@ def _span(gf, rows, dtype):
 
 def _offset_rows(q, k):
     # the leading generator rows _codebook spans as offsets: the fewest that
-    # leave at most 2^16 block words
-    lo = 0
-    while q ** (k - lo) > 2 ** 16:
-        lo += 1
-    return lo
+    # leave at most 2^16 block words, found from q alone so that a large k
+    # costs nothing
+    rows = 0  # the most rows a block may take
+    while q ** (rows + 1) <= 2 ** 16:
+        rows += 1
+    return max(0, k - rows)
+
+
+def _codebook_size(q, n, k):
+    # the symbols _codebook holds: n for each offset and each block word
+    lo = _offset_rows(q, k)
+    return n * (q ** lo + q ** (k - lo))
 
 
 @lru_cache(maxsize=8)
@@ -439,15 +446,9 @@ def _add_pattern(gf, e, cls, at):
 
 
 def _interpolate(spec, c):
+    # the witness of c, or None where c is not a codeword; at radius 0 this is
+    # the whole decoder, since exactly the codewords decode
     return _coefficients(spec.gf, spec.family, spec.m, spec.d, c)
-
-
-def _decode_member(spec, r):
-    # radius 0: exactly the codewords decode
-    try:
-        return _interpolate(spec, r)
-    except NotInCodeError:
-        return None
 
 
 def _affine_entry(spec, r, choose, *args):
@@ -471,14 +472,17 @@ def decode_exhaustive(spec, r, bound=None):
     syndrome lookup among the error patterns within the radius.  A route
     may run only when its enumeration, q^k codewords or all patterns of
     weight <= T, fits in `bound` (default 2^24, env PRM_ENUM_BOUND, read on
-    every call); when neither fits this raises EnumerationBoundError.  Of
-    the routes that fit, the lookup is preferred when fewer error patterns
-    than codewords lie within the radius, or when it does less work per
-    decode and its table holds no more patterns than the scan's codebook
-    holds words.  The scan's work is n * q^k compare-and-adds of one byte;
-    the lookup's is the syndrome's n * (n-k) symbols plus (n-k) for each
-    stored pattern the join subtracts, each symbol step weighted as 128 scan
-    steps (measured at 64-96 with stored join syndromes, 173-201 before).
+    every call).  The scan also needs its codebook, n symbols for each of
+    its offsets and block words, to fit the 2^26-element size cap of codes.
+    When neither route fits this raises EnumerationBoundError, before any
+    table is built.  Of the routes that fit, the lookup is preferred when
+    fewer error patterns than codewords lie within the radius, or when it
+    does less work per decode and its table holds no more patterns than the
+    scan's codebook holds words.  The scan's work is n * q^k
+    compare-and-adds of one byte; the lookup's is the syndrome's n * (n-k)
+    symbols plus (n-k) for each stored pattern the join subtracts, each
+    symbol step weighted as 128 scan steps (measured at 64-96 with stored
+    join syndromes, 173-201 before).
     Valid for both families; the projective decoders use it as the default
     affine engine for m >= 2 and the tests as the ground-truth oracle.
 
@@ -518,38 +522,45 @@ def _route(spec):
     # the routes of decode_exhaustive on spec, fixed per code and preferred
     # first: (name, enumeration count, vector engine), the engine taking
     # (spec, r) and returning its witness as a vector over the basis, or
-    # None beyond the radius; a lookup needs syndrome keys that fit in an int64
+    # None beyond the radius.  A scan whose codebook passes the size cap of
+    # codes has no engine, and a lookup needs syndrome keys that fit in an int64
     params = code_params(spec)
     q, n, k, cap_t = spec.gf.q, params.n, params.k, params.T
     if cap_t == 0:
-        return (("member", 0, _decode_member),)
-    scan = ("scan", q ** k, partial(_scan_codewords, cap_t=cap_t))
+        return (("member", 0, _interpolate),)
+    book = _codebook_size(q, n, k)
+    scan = ("scan", q ** k,
+            partial(_scan_codewords, cap_t=cap_t) if book <= _MAX_ELEMENTS else None)
     if q ** (n - k) >= 2 ** 62:
         return (scan,)
     patterns = sum(_patterns(q, n, w) for w in range(1, cap_t + 1))
     top = _stored_weights(q, n, cap_t)
     stored = sum(_patterns(q, n, w) for w in range(1, top + 1))
     joined = sum(_patterns(q, n, w) for w in range(1, cap_t - top + 1))
-    lo = _offset_rows(q, k)
     cheaper = _LOOKUP_STEP * (n - k) * (n + joined) < n * q ** k
-    small = stored <= q ** lo + q ** (k - lo)
+    small = n * stored <= book
     routes = (("syndrome", patterns, partial(_syndrome_route, cap_t=cap_t)), scan)
     lookup = patterns < q ** k or (cheaper and small)
     return routes if lookup else routes[::-1]
 
 
 def _exhaustive_engine(spec, bound=None):
-    # (name, vector engine) of the first of _route's routes whose enumeration
-    # fits the bound; a route that enumerates nothing fits any bound
+    # (name, vector engine) of the first of _route's routes that has an engine
+    # and whose enumeration fits the bound; a route that enumerates nothing
+    # fits any bound
     if bound is None:
         bound = _enum_bound()
     routes = _route(spec)
     for name, count, run in routes:
-        if count <= bound or not count:
+        if run and (count <= bound or not count):
             return name, run
+    params = code_params(spec)
+    book = _codebook_size(spec.gf.q, params.n, params.k)
+    over = f" and its codebook holds {book} elements, past the cap of {_MAX_ELEMENTS}"
     raise EnumerationBoundError(
         f"{spec}: no exhaustive route within bound {bound} ("
-        + ", ".join(f"{name} enumerates {count}" for name, count, _ in routes) + ")")
+        + ", ".join(f"{name} enumerates {count}" + ("" if run else over)
+                    for name, count, run in routes) + ")")
 
 
 # --- Reed-Solomon decoding for the m = 1 affine codes ---
@@ -591,7 +602,7 @@ def _rs_engine(spec):
         raise ValueError("decode_rs_affine handles RM specs with m = 1 only")
     cap_t = code_params(spec).T
     if cap_t == 0:
-        return "member", _decode_member
+        return "member", _interpolate
     return "rs", partial(_rs_affine, cap_t=cap_t)
 
 
@@ -856,14 +867,10 @@ def _decode_level(gf, m, d, r, decoders, strict, trace):
     wt = prm_weight(q, m, d)
     if wt <= 2:
         # any correctable r is already a codeword; find its witness
-        try:
-            f = _coefficients(gf, PRM, m, d, r)
-        except NotInCodeError:
-            _trace(trace, event="base", m=m, d=d, ok=False)
-            if strict:
-                raise _InconsistentBase()
-            return None
-        _trace(trace, event="base", m=m, d=d, ok=True)
+        f = _coefficients(gf, PRM, m, d, r)
+        _trace(trace, event="base", m=m, d=d, ok=f is not None)
+        if f is None and strict:
+            raise _InconsistentBase()
         return f
     lv = _level(gf, m, d)
     k, chart = len(lv.g), q ** m

@@ -13,5 +13,7 @@ def no_enumeration(monkeypatch):
     for name in ("projective_basis", "affine_basis", "projective_array",
                  "affine_array", "_monomial_values"):
         monkeypatch.setattr(f"prmcodes.codes.{name}", enumerated)
-    for name in ("projective_points", "affine_points"):
+    for name in ("projective_array", "affine_array"):
+        monkeypatch.setattr(f"prmcodes.poly.{name}", enumerated)
+    for name in ("projective_points", "affine_points", "projective_array", "affine_array"):
         monkeypatch.setattr(f"prmcodes.geometry.{name}", enumerated)

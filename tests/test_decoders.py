@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prmcodes.cli import EXIT_DECODE_FAIL, main
 from prmcodes.codes import (PRM, RM, CodeSpec, _eval_matrix, code_params,
                             encode, generator_matrix, interpolate,
                             interpolate_family, prm_weight, replicate_scaled)
@@ -266,6 +267,28 @@ def test_exhaustive_env_bound(monkeypatch):
     monkeypatch.setenv("PRM_ENUM_BOUND", "10")
     with pytest.raises(EnumerationBoundError):
         decode_exhaustive(spec_of(PRM, 4, 2, 3), GF(2, 2).zeros(21))
+
+
+def test_scan_codebook_counts_against_the_size_cap(monkeypatch, tmp_path, capsys):
+    # RM(16,1)/GF(2)'s 2^17 codewords fit the bound, but the scan's codebook
+    # would hold 2^16 (2 + 2^16) symbols, past the 2^26 cap of codes; no route
+    # is left, so the decode is refused before any codebook is spanned
+    def spanned(*args):
+        raise AssertionError("codebook spanned")
+
+    monkeypatch.setattr("prmcodes.decoders._span", spanned)
+    gf = GF(2)
+    zeros = gf.zeros(num_projective_points(2, 16))
+    with pytest.raises(EnumerationBoundError, match="codebook holds 4295098368 elements"):
+        decode_prm(gf, 16, 1, zeros)
+    with pytest.raises(EnumerationBoundError, match="past the cap of 67108864"):
+        decode_exhaustive(CodeSpec(RM, gf, 16, 1), gf.zeros(2 ** 16), bound=2 ** 30)
+    word = tmp_path / "z16.txt"
+    word.write_text(",".join(["0"] * len(zeros)))
+    assert main(["decode", "--q", "2", "--m", "16", "--d", "1",
+                 "--in", str(word)]) == EXIT_DECODE_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "codebook" in err
 
 
 def test_exhaustive_weight_one_code():
