@@ -16,13 +16,15 @@ or a c other than eval_affine(f, m), raises ValueError.
 The projective line, the [q+1, d+1, q-d+1] code, is level m = 1 of the same
 recursion; its affine engine is Gao's Reed-Solomon decoder.  That decoder's
 partial Euclid keeps each remainder and its cofactor as the two columns of
-one (n, 2) array, so on GF(2^e) a step is one 1-d take from a row of the
-product table and an in-place XOR on a contiguous block of rows.  It takes
-the quotient f = g/v by evaluation: g/v off the roots of v, g'/v' on them
-(simple roots whenever the word is within the radius), then one line
-interpolation.  The residual check keeps its outcomes those of an exact
-division, since a codeword within the radius is unique (see
-decode_rs_affine).
+one (n, 2) intp array, so a step is an in-place multiply-subtract mod p on a
+prime field and, on GF(2^e), one 1-d take from a row of the product table
+and an in-place XOR on a contiguous block of rows.  It reads the codeword
+off the error locator v: the word itself off the roots of v, g'/v' on them
+(simple roots whenever the word is within the radius).  The interpolation
+of r is its one q x q product; the witness is that interpolation minus the
+interpolation of the error, which lives on the roots.  Outcomes are those
+of exact bounded-distance decoding, since a codeword within the radius is
+unique (see decode_rs_affine).
 
 Each affine call chooses its engine once.  AffineDecoders resolves every
 decoder it holds to a chooser when it is given one; at each call the
@@ -570,26 +572,28 @@ def decode_rs_affine(spec, r):
 
     Over all of F_q, r interpolates to R(x) = sum_a r(a)(1 - (x - a)^(q-1)),
     whose x^j coefficient is r(0) for j = 0 and -sum_a r(a) a^(q-1-j) for
-    j >= 1: one vec_mat with the reversed rows of the cached RM(1, q-1)
-    evaluation matrix, whose row j is x^j at the points.  The extended
-    Euclidean algorithm on (x^q - x, R) runs until its remainder g has
-    degree below (q + d + 1)/2, with g = u(x^q - x) + vR.  When
-    wt(e) <= T = floor((q-d-1)/2), g = fv for the sent f and v is a multiple
-    of the error locator, prod (x - a) over the error positions (S. Gao, "A
-    new algorithm for decoding Reed-Solomon codes", 2003).
+    j >= 1: one vec_mat with the symmetric block xi^(ij), i, j < q - 1, of
+    the cached RM(1, q-1) evaluation matrix (row j: x^j at the points), read
+    at negated indices.  The extended Euclidean algorithm on (x^q - x, R)
+    runs until its remainder g has degree below (q + d + 1)/2, with
+    g = u(x^q - x) + vR, so deg v <= T = floor((q-d-1)/2).  When wt(e) <= T,
+    g = fv for the sent f and v is a scalar times the error locator,
+    prod (x - a) over the error positions (S. Gao, "A new algorithm for
+    decoding Reed-Solomon codes", 2003).
 
-    The quotient is taken by evaluation, not by division: g and v are
-    evaluated at the q points, f(a) = g(a)/v(a) off the roots of v, and on
-    a root, which is simple, f(a) = g'(a)/v'(a) with the formal derivative
-    (j a_j, j mod p), since g' = f'v + fv'.  The line interpolation of those
-    values gives f.  A root where v' vanishes, or a coefficient of f above
-    d, is BeyondRadius; the values of f are the codeword.  A final residual
-    check wt(r - f) <= T makes the behavior strictly bounded-distance,
-    mirroring decode_exhaustive.  Outcomes are those of an exact division:
-    a codeword within T is unique and, for it, v is the error locator, so
-    any word within T of a codeword yields that codeword and its f, and any
-    other word fails the residual check if not before.  At radius 0 exactly
-    the codewords decode.
+    The codeword is read off v, not divided out: v is evaluated at the q
+    points, and off its roots the codeword is r itself.  On a root a, which
+    is simple, f(a) = g'(a)/v'(a) with the formal derivative (j a_j, j mod
+    p), since g' = f'v + fv'; a root where v' vanishes is BeyondRadius.  The
+    error e = r - values lives on the roots, and f is R minus the line
+    interpolation of e, a product with one row per root; f with a
+    coefficient above d is BeyondRadius.  The check wt(e) <= T makes the
+    behavior strictly bounded-distance, mirroring decode_exhaustive.
+    Outcomes are those of an exact division: when the values form a
+    codeword of degree <= d, it lies within T of r, and a codeword within T
+    is unique and, for it, v is its error locator.  So any word within T of
+    a codeword yields that codeword and its f, and any other word fails.
+    At radius 0 exactly the codewords decode.
     """
     return _affine_entry(spec, r, _rs_engine)
 
@@ -606,12 +610,29 @@ def _rs_engine(spec):
     return "rs", partial(_rs_affine, cap_t=cap_t)
 
 
-def _interpolate_line(gf, r):
+def _interpolate_line(gf, r, at=None):
     # the coefficients, lowest degree first, of R with R(a) = r(a) at the q
-    # affine points a of the line (see decode_rs_affine)
-    v = _eval_matrix(gf, RM, 1, gf.q - 1)[1]  # row j: x^j at the points
-    out = gf.neg(linalg.vec_mat(gf, r, v[::-1].T))
-    out[0] = r[-1]  # the points are xi^0, ..., xi^(q-2), then 0
+    # affine points a of the line (see decode_rs_affine); given the sorted
+    # positions `at`, r holds R's values there alone and R vanishes at the
+    # other points.  At a = xi^i, a^(q-1-j) = xi^(-ij), so with s the values
+    # at the nonzero points times the symmetric block xi^(ij), i, j < q-1, of
+    # the evaluation matrix, the x^j coefficient is -s[-j mod q-1] for
+    # 0 < j < q-1.  The point 0 is last: R(0) = r(0) is the x^0 coefficient,
+    # and the x^(q-1) coefficient is -s[0] - r(0)
+    q = gf.q
+    block = _eval_matrix(gf, RM, 1, q - 1)[1][:-1, :-1]
+    zero = 0
+    if at is None:
+        r, zero = r[:-1], r[-1]
+    else:
+        if len(at) and at[-1] == q - 1:
+            r, zero, at = r[:-1], r[-1], at[:-1]
+        block = block[at]
+    s = linalg.vec_mat(gf, r, block)
+    out = np.empty(q, dtype=DTYPE)
+    out[0], out[1:-1], out[-1] = 0, s[:0:-1], gf.add(s[0], zero)
+    out = gf.neg(out)
+    out[0] = zero
     return out
 
 
@@ -623,28 +644,29 @@ def _degree(a):
 
 @lru_cache(maxsize=None)
 def _scalar_tables(gf):
-    # GF(p^e) as Python lists for Euclid's scalar steps: the rows of the
-    # product table and the inverses (entry 0 unused), both read off the
-    # numpy tables
+    # GF(p^e) for Euclid's steps: the product table as intp, whose rows index
+    # takes without a conversion, and the inverses as a list (entry 0
+    # unused), both read off the numpy tables
     inv = gf.antilog_table[-gf.log_table % (gf.q - 1)]
     inv[0] = 0
-    return gf._mul_table.tolist(), inv.tolist()
+    return gf._mul_table.astype(np.intp), inv.tolist()
 
 
 def _partial_euclid(gf, a, b, stop):
     # the first remainder g of Euclid on (a, b) with 2 deg g < stop, and v
     # with g = ua + vb.  Each remainder and its cofactor of b are the two
-    # columns of one (n, 2) array, so a step, which cancels the leading term
-    # of the higher remainder with a shifted multiple of the lower one,
-    # updates both on one contiguous block of rows: a 1-d take from a row of
-    # the product table and an in-place XOR on GF(2^e), one field
-    # subtraction elsewhere.  The step's scalar c is an integer product mod
-    # p on a prime field and a read from _scalar_tables' lists otherwise
+    # columns of one (n, 2) intp array, so a step, which cancels the leading
+    # term of the higher remainder with a shifted multiple of the lower one,
+    # updates both on one contiguous block of rows: in place by an integer
+    # multiply-subtract mod p on a prime field, and on GF(p^e) by a 1-d take
+    # from a row of _scalar_tables' product table, then an in-place XOR on
+    # GF(2^e) and one field subtraction elsewhere.  The step's scalar c is an
+    # integer product mod p on a prime field and a product-table read
+    # otherwise
     n = len(a)
-    hi, lo = np.zeros((n, 2), dtype=DTYPE), np.zeros((n, 2), dtype=DTYPE)
+    hi, lo = np.zeros((n, 2), dtype=np.intp), np.zeros((n, 2), dtype=np.intp)
     hi[:, 0], lo[:len(b), 0], lo[0, 1] = a, b, 1
     dh, dl = _degree(a), _degree(b)
-    xor = gf.p == 2 and gf.e > 1
     p = gf.p if gf.e == 1 else 0
     if not p:
         products, inverses = _scalar_tables(gf)
@@ -655,48 +677,26 @@ def _partial_euclid(gf, a, b, stop):
             by_inv = products[inverses[lo.item(dl, 0)]]  # x -> x * lead(lo)^-1
         while dh >= dl:
             s = dh - dl
-            c = hi.item(dh, 0) * inv % p if p else by_inv[hi.item(dh, 0)]
-            if xor:
-                hi[s:] ^= gf._mul_table[c].take(lo[:n - s])
+            top = hi[s:]
+            if p:
+                top -= hi.item(dh, 0) * inv % p * lo[:n - s]
+                top %= p
             else:
-                hi[s:] = gf.sub(hi[s:], gf.mul(c, lo[:n - s]))
+                prod = products[by_inv.item(hi.item(dh, 0))].take(lo[:n - s])
+                if gf.p == 2:
+                    top ^= prod
+                else:
+                    hi[s:] = gf.sub(top, prod)
             dh -= 1
             while dh >= 0 and not hi.item(dh, 0):
                 dh -= 1
         hi, lo, dh, dl = lo, hi, dl, dh
-    return lo[:dl + 1, 0], lo[:, 1]
+    return lo[:dl + 1, 0].astype(DTYPE), lo[:, 1].astype(DTYPE)
 
 
 def _derivative(gf, a):
     # the formal derivative of the coefficient array a: j a_j, j taken mod p
     return gf.mul(np.arange(1, len(a)) % gf.p, a[1:])
-
-
-def _quotient(gf, g, v, d):
-    # (values at the q affine points, coefficients) of f = g / v, or None
-    # when f is no polynomial of degree <= d; exact whenever g = fv and v has
-    # simple roots, which holds for Gao's g and v within the radius
-    dv = _degree(v)
-    if len(g) - 1 - dv > d:
-        return None
-    v = v[:dv + 1]
-    x = _eval_matrix(gf, RM, 1, gf.q - 1)[1]  # row j: x^j at the points
-    num = linalg.vec_mat(gf, g, x[:len(g)])
-    den = linalg.vec_mat(gf, v, x[:dv + 1])
-    roots = np.flatnonzero(den == 0)
-    if len(roots):
-        # on a root a of v, g' = f'v + fv' gives f(a) = g'(a) / v'(a)
-        for vals, a in ((num, _derivative(gf, g)), (den, _derivative(gf, v))):
-            vals[roots] = linalg.vec_mat(gf, a, x[:len(a), roots])
-        if not den[roots].all():
-            return None
-    # num / den in the log domain; den is nowhere zero
-    values = gf.antilog_table[(gf.log_table[num] - gf.log_table[den]) % (gf.q - 1)]
-    values[num == 0] = 0
-    f = _interpolate_line(gf, values)
-    if f[d + 1:].any():
-        return None
-    return values, f[:d + 1]
 
 
 def _rs_affine(spec, r, cap_t):
@@ -705,12 +705,25 @@ def _rs_affine(spec, r, cap_t):
     gf, d, q = spec.gf, spec.d, spec.gf.q
     field = gf.zeros(q + 1)  # x^q - x
     field[q], field[1] = 1, gf.neg(1)
-    g, v = _partial_euclid(gf, field, _interpolate_line(gf, r), q + d + 1)
-    out = _quotient(gf, g, v, d)
-    if out is None:
+    interp = _interpolate_line(gf, r)
+    g, v = _partial_euclid(gf, field, interp, q + d + 1)
+    v = v[:_degree(v) + 1]
+    if len(g) - len(v) > d:
         return None
-    cw, f = out  # the values of f are the codeword
-    return None if weight(gf.sub(r, cw)) > cap_t else f
+    x = _eval_matrix(gf, RM, 1, q - 1)[1]  # row j: x^j at the points
+    roots = np.flatnonzero(linalg.vec_mat(gf, v, x[:len(v)]) == 0)
+    # on a root a of v, g = fv gives g' = f'v + fv', so f(a) = g'(a) / v'(a)
+    num, den = (linalg.vec_mat(gf, a, x[:len(a), roots])
+                for a in (_derivative(gf, g), _derivative(gf, v)))
+    if not den.all():
+        return None
+    values = gf.antilog_table[(gf.log_table[num] - gf.log_table[den]) % (q - 1)]
+    values[num == 0] = 0
+    e = gf.sub(r[roots], values)  # r minus the codeword, zero off the roots
+    if np.count_nonzero(e) > cap_t:
+        return None
+    f = gf.sub(interp, _interpolate_line(gf, e, roots))
+    return None if f[d + 1:].any() else f[:d + 1]
 
 
 # --- the pluggable affine-decoder registry ---

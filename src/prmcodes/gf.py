@@ -35,9 +35,9 @@ and with products taken in the log domain through the log/antilog tables,
 vector-matrix products and polynomial evaluation run without per-row
 Python loops.  The product table ``_mul_table`` is C-contiguous, so its
 flat view is free: ``linalg.vec_mat`` gathers from it with one 1-d take at
-a * q + b, and Gao's Euclid takes from one of its rows.  ``mul`` keeps the
-2-d fancy index, which builds no full-size index array from broadcast
-operands.
+a * q + b, and Gao's Euclid takes from the rows of an intp copy of it.
+``mul`` keeps the 2-d fancy index, which builds no full-size index array
+from broadcast operands.
 """
 
 import numpy as np

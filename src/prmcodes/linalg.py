@@ -6,16 +6,20 @@ echelon form, rank and kernel, which interpolation and the syndrome table
 use), plus the one vector-matrix product.  Elimination loops over pivots in
 Python and updates all rows of a pivot step at once; the product is a single
 array operation, an integer matmul mod p on prime fields (int32 while no
-sum can reach 2^31, int64 above) and, on extension fields, one 1-d take
-from the flattened product table plus a field sum.  Polynomials live
-elsewhere, as `poly.Poly` or as coefficient vectors over a basis whose
-evaluations are the rows of a matrix, so evaluating one is a `vec_mat` with
-that matrix.
+sum can reach 2^31, a sum over bounded row blocks above) and, on extension
+fields, one 1-d take from the flattened product table plus a field sum.
+Polynomials live elsewhere, as `poly.Poly` or as coefficient vectors over a
+basis whose evaluations are the rows of a matrix, so evaluating one is a
+`vec_mat` with that matrix.
 """
 
 import numpy as np
 
 from .gf import DTYPE
+
+# the most entries of mat that one int64 block of vec_mat copies on a prime
+# field whose single products pass int32
+_WIDE_BLOCK = 2 ** 18
 
 
 def row_reduce(gf, mat):
@@ -64,18 +68,30 @@ def vec_mat(gf, vec, mat):
     """vec @ mat over GF; vec is (r,), mat is (r, c).
 
     On GF(p) the product is an integer matmul reduced mod p.  It runs on the
-    int32 operands as they are whenever no sum can wrap, (p-1)^2 * r < 2^31,
-    and on int64 copies otherwise.  On GF(p^e) the r x c products are one
-    take from the q x q product table read as a flat array, at the indices
-    vec[i] * q + mat[i, j], and gf._sum adds them down the rows; mat may be
-    any strided view, since the index array is built fresh.
+    int32 operands as they are whenever no sum can wrap, (p-1)^2 * r < 2^31.
+    Above that it adds up the products of row blocks, each reduced mod p:
+    int32 blocks of the most rows whose sum cannot wrap while one product
+    fits, (p-1)^2 < 2^31, and otherwise int64 copies of blocks of at most
+    2^18 entries, or of one row where a row holds more, so that no call
+    copies all of mat.  On GF(p^e) the r x c
+    products are one take from the q x q product table read as a flat
+    array, at the indices vec[i] * q + mat[i, j], and gf._sum adds them down
+    the rows; mat may be any strided view, since the index array is built
+    fresh.
     """
     mat = np.asarray(mat, dtype=DTYPE)
-    if gf.e == 1:
-        if (gf.p - 1) ** 2 * len(vec) < 2 ** 31:
-            return np.asarray(vec, dtype=DTYPE) @ mat % gf.p
-        # exact in int64: (p-1)^2 * r < 2^63 for p < 2^16 and r < 2^31
-        prod = np.asarray(vec, dtype=np.int64) @ mat.astype(np.int64)
-        return (prod % gf.p).astype(DTYPE)
-    idx = np.asarray(vec, dtype=DTYPE)[:, None] * gf.q + mat
-    return gf._sum(gf._mul_table.ravel().take(idx))
+    vec = np.asarray(vec, dtype=DTYPE)
+    if gf.e > 1:
+        return gf._sum(gf._mul_table.ravel().take(vec[:, None] * gf.q + mat))
+    p = gf.p
+    rows = (2 ** 31 - 1) // (p - 1) ** 2
+    if rows >= len(vec):
+        return vec @ mat % p
+    wide = not rows
+    if wide:
+        rows = max(1, _WIDE_BLOCK // max(1, mat.shape[1]))
+    out = np.zeros(mat.shape[1], dtype=np.int64)
+    for i in range(0, len(vec), rows):
+        v, m = vec[i:i + rows], mat[i:i + rows]
+        out += (v.astype(np.int64) @ m.astype(np.int64) if wide else v @ m) % p
+    return (out % p).astype(DTYPE)

@@ -704,6 +704,63 @@ def test_rs_golden_digest_odd_fields():
         "25fd3602a2fa9980136169f7079238838929046c14bb4cbcbe042f10f2b4c4ec")
 
 
+@pytest.mark.parametrize("q, d", [(128, 120), (521, 500)])
+def test_rs_makes_one_square_product(q, d, monkeypatch):
+    # the interpolation of r is the one q x q product of Gao's decoder; the
+    # codeword is read off the error locator v, so every other product has
+    # at most T + 1 rows (v at the points) or T columns (the derivatives at
+    # the roots of v) or T rows (the interpolation of the error on them)
+    spec = spec_of(RM, q, 1, d)
+    gf, p = spec.gf, code_params(spec)
+    assert p.T == {128: 3, 521: 10}[q]
+    rng = np.random.default_rng(q)
+    cw, f = encode(spec, rng.integers(0, q, size=p.k))
+    words = [gf.add(cw, random_error(gf, rng, p.n, w)) for w in (p.T, p.T + 1)]
+    words.append(gf.asarray(rng.integers(0, q, size=p.n)))
+    decode_rs_affine(spec, words[0])  # builds the evaluation matrix unspied
+    sizes = []
+    monkeypatch.setattr("prmcodes.linalg.vec_mat", lambda gf, vec, mat, real=vec_mat:
+                        sizes.append(np.asarray(mat).size) or real(gf, vec, mat))
+    for i, r in enumerate(words):
+        sizes.clear()
+        out = decode_rs_affine(spec, r)
+        assert sum(sizes) <= q * q + 4 * (p.T + 1) * q, (i, sizes)
+        if i == 0:
+            assert out.ok and out.witness == f
+
+
+@pytest.mark.parametrize("q, d", [(27, 24), (27, 21), (27, 8), (128, 125), (128, 63),
+                                  (521, 258)])
+def test_rs_error_at_the_point_zero(q, d):
+    # the point 0 is the last position, and the interpolation of the error
+    # puts e(0) at x^0 and takes it off x^(q-1).  With an error there at
+    # weights T and T + 1, Gao's decoder agrees with the oracle where it fits
+    # ORACLE_BOUND; elsewhere it returns the sent codeword at T and, at
+    # T + 1, fails or returns another codeword within T
+    spec = spec_of(RM, q, 1, d)
+    gf, p = spec.gf, code_params(spec)
+    oracle = oracle_fits(q, d)
+    rng = np.random.default_rng(q + d)
+    for w in (p.T, p.T + 1):
+        for _ in range(3):
+            cw, f = encode(spec, rng.integers(0, q, size=p.k))
+            e = gf.zeros(p.n)
+            e[np.append(rng.choice(p.n - 1, size=w - 1, replace=False), p.n - 1)] = (
+                rng.integers(1, q, size=w))
+            r = gf.add(cw, e)
+            out = decode_rs_affine(spec, r)
+            if w == p.T:
+                assert out.ok and np.array_equal(out.codeword, cw) and out.witness == f
+            if oracle:
+                ref = decode_exhaustive(spec, r, ORACLE_BOUND)
+                assert out.failure == ref.failure
+                if out.ok:
+                    assert np.array_equal(out.codeword, ref.codeword)
+                    assert out.witness == ref.witness
+            elif w > p.T and out.ok:
+                assert weight(gf.sub(r, out.codeword)) <= p.T
+
+
 def _digest_value(x):
     # a trace or result field as bytes that pin it exactly: a Poly by its
     # terms in order, an array by its values and dtype

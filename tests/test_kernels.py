@@ -1,10 +1,13 @@
 """Whole-array GF kernels against scalar references written here: the
 vector-matrix product against a row loop of scalar field operations, also
-at the sizes and on the strided views the line decoder passes, polynomial
+at the sizes and on the strided views the line decoder passes, and in row
+blocks on large prime fields against an int64 product, polynomial
 evaluation over point blocks against Poly.evaluate at every point, and the
 partial Euclid of Gao's decoder against a schoolbook product and remainder.
 Property tests over prime fields, GF(2^e) and odd-characteristic extension
 fields."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,18 +66,21 @@ VIEW_ORDERS = (4, 8, 9, 27, 128)
 @st.composite
 def strided_products(draw):
     # 64-129 rows, the sizes of the line decoder's products up to GF(128),
-    # and the views it passes: the reversed, transposed evaluation matrix of
-    # _interpolate_line, and the row slices and column subsets of _quotient;
-    # the entries come from a drawn seed, as arrays this large overrun
-    # hypothesis's buffer
+    # and the views it passes: the leading block of the evaluation matrix
+    # that _interpolate_line reads, and the row slices and column subsets
+    # of _rs_affine; also a reversed, transposed view.  The entries come
+    # from a drawn seed, as arrays this large overrun hypothesis's buffer
     gf = FIELDS[draw(st.sampled_from(VIEW_ORDERS))]
     rows = draw(st.integers(64, 129))
     cols = draw(st.integers(1, 12))
     spare = draw(st.integers(0, 6))
-    view = draw(st.sampled_from(["reversed_transpose", "row_slice", "column_subset"]))
+    view = draw(st.sampled_from(["leading_block", "reversed_transpose", "row_slice",
+                                 "column_subset"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     vec = rng.integers(0, gf.q, size=rows, dtype=np.int32)
-    if view == "reversed_transpose":  # x[::-1].T
+    if view == "leading_block":  # x[:-1, :-1]
+        mat = rng.integers(0, gf.q, size=(rows + 1, cols + 1), dtype=np.int32)[:-1, :-1]
+    elif view == "reversed_transpose":  # x[::-1].T
         mat = rng.integers(0, gf.q, size=(cols, rows), dtype=np.int32)[::-1].T
     elif view == "row_slice":  # x[:k]
         mat = rng.integers(0, gf.q, size=(rows + spare, cols), dtype=np.int32)[:rows]
@@ -120,6 +126,32 @@ def test_vec_mat_prime_int32_threshold(rows):
     out = vec_mat(gf, vec, mat)
     assert out.dtype == np.int32
     assert out.tolist() == vec_mat_reference(gf, vec, mat) == [rows % p] * 3
+
+
+@pytest.mark.parametrize("p, rows, cols", [(2053, 1500, 7), (2053, 511, 3),
+                                           (65521, 1200, 2048), (65521, 5, 70000)])
+def test_vec_mat_prime_row_blocks(p, rows, cols):
+    # past the int32 bound vec_mat adds up row blocks: int32 blocks of at
+    # most 510 rows at p = 2053, int64 blocks of at most 2^18 entries at
+    # p = 65521, where one product passes int32.  Against an int64 product,
+    # on random entries and on entries p - 1, where every sum is largest.
+    # Past its outputs of cols entries, no call holds half the matrix
+    gf = GF(p)
+    rng = np.random.default_rng(p + rows)
+    for top in (False, True):
+        if top:
+            vec = np.full(rows, p - 1, dtype=np.int32)
+            mat = np.full((rows, cols), p - 1, dtype=np.int32)
+        else:
+            vec = rng.integers(0, p, size=rows, dtype=np.int32)
+            mat = rng.integers(0, p, size=(rows, cols), dtype=np.int32)
+        tracemalloc.start()
+        out = vec_mat(gf, vec, mat)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert out.dtype == np.int32
+        assert out.tolist() == (vec.astype(np.int64) @ mat.astype(np.int64) % p).tolist()
+        assert peak < mat.nbytes // 2 + 64 * cols
 
 
 def chart_size(q):
@@ -208,7 +240,7 @@ def poly_rem(gf, a, m):
     return a[:len(m) - 1]
 
 
-@pytest.mark.parametrize("q", (5, 8, 9, 128))
+@pytest.mark.parametrize("q", (5, 8, 9, 128, 2053, BIG_P))
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_partial_euclid_remainder_and_cofactor(q, data):
